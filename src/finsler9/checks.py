@@ -289,13 +289,10 @@ def _chk_subgroup_closure(rng, trials):
 
 
 def _chk_block_structure(rng, trials):
-    mask = np.zeros((9, 9), dtype=bool)
-    mask[:4, :4] = mask[4:8, 4:8] = True
-    mask[8, 8] = True
     res = np.empty(trials)
     for t in range(trials):
         ell = group_action(embed_sl2(random_unimodular(rng, n=2)))
-        res[t] = np.abs(np.where(mask, 0.0, ell)).max()
+        res[t] = np.abs(np.where(minkowski._BLOCK_MASK, 0.0, ell)).max()
     return res
 
 

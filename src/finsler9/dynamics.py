@@ -4,9 +4,10 @@ The action of a free particle is proportional to the cubic-norm length of
 its world line, with a single coupling constant ``kappa``.  The Lagrangian
 is homogeneous of degree one in the velocities, so the canonical momenta
 are constants of motion, the canonical energy vanishes identically, and the
-world lines are straight.  The centerpiece is the closed-form inversion of
-the nine momenta back to the nine velocities through 2x2 cofactor
-determinants of the Hermitian momentum matrix.
+world lines are straight.  The momenta are the scaled adjugate of the
+Hermitian velocity matrix, and the closed-form inversion of the nine
+momenta back to the nine velocities is the adjugate of the momentum matrix;
+both go through one broadcasting adjugate kernel.
 """
 
 from dataclasses import dataclass
@@ -22,7 +23,13 @@ from .exceptions import (
     NotUnitSpeed,
     SingularMomentumMatrix,
 )
-from .geometry import cubic_form, matrix_to_vec, vec_to_matrix
+from .geometry import (
+    LAMBDA_DUAL,
+    LAMBDA_MATRICES,
+    cubic_form,
+    matrix_to_vec,
+    vec_to_matrix,
+)
 
 #: Default coupling; mass times speed of light equal to one, negative sign
 #: so that the 4-dimensional limit reproduces the relativistic action.
@@ -71,28 +78,16 @@ def canonical_momenta(xdot, kappa=DEFAULT_KAPPA):
     Each component is ``kappa/3`` times the gradient of the cubic form
     divided by its 2/3 power, the latter computed as the squared real cube
     root so the result is well defined on negative cubic forms too.  The
+    gradient is ``tr(lambda_a adj X)`` for the velocity matrix ``X``.  The
     result is invariant under any nonzero rescaling of ``xdot`` and
     broadcasts over leading axes.
     """
     kappa = _check_kappa(kappa)
     xdot = np.asarray(xdot, dtype=float)
     f = _nonisotropic_form(xdot)
-    x0, x1, x2, x3, x4, x5, x6, x7, x8 = (xdot[..., a] for a in range(9))
-    numerators = np.stack(
-        [
-            2.0 * x0 * x8 - x4**2 - x5**2 - x6**2 - x7**2,
-            2.0 * (-x1 * x8 + x4 * x6 + x5 * x7),
-            2.0 * (-x2 * x8 + x5 * x6 - x4 * x7),
-            -2.0 * x3 * x8 + x4**2 + x5**2 - x6**2 - x7**2,
-            2.0 * (-x0 * x4 + x1 * x6 - x2 * x7 + x3 * x4),
-            2.0 * (-x0 * x5 + x1 * x7 + x2 * x6 + x3 * x5),
-            2.0 * (-x0 * x6 + x1 * x4 + x2 * x5 - x3 * x6),
-            2.0 * (-x0 * x7 + x1 * x5 - x2 * x4 - x3 * x7),
-            x0**2 - x1**2 - x2**2 - x3**2,
-        ],
-        axis=-1,
-    )
-    return (kappa / 3.0) * numerators / (np.cbrt(f) ** 2)[..., None]
+    adj = _cofactor_inverse_scaled(vec_to_matrix(xdot))
+    gradient = np.einsum("aij,...ji->...a", LAMBDA_MATRICES, adj).real
+    return (kappa / 3.0) * gradient / (np.cbrt(f) ** 2)[..., None]
 
 
 def canonical_energy(xdot, kappa=DEFAULT_KAPPA):
@@ -105,18 +100,11 @@ def canonical_energy(xdot, kappa=DEFAULT_KAPPA):
 def momenta_matrix(p):
     """Hermitian 3x3 matrix of a 9-tuple of momenta.
 
-    Mirrors :func:`finsler9.geometry.vec_to_matrix` except for the doubled
-    lower-right corner, which reflects the dual basis element used for the
-    ninth momentum.
+    Mirrors :func:`finsler9.geometry.vec_to_matrix` in the dual basis, whose
+    doubled lower-right corner belongs to the ninth momentum.
     """
     p = np.asarray(p, dtype=float)
-    p0, p1, p2, p3, p4, p5, p6, p7, p8 = (p[..., a] for a in range(9))
-    rows = [
-        [p0 + p3, p1 - 1j * p2, p4 - 1j * p5],
-        [p1 + 1j * p2, p0 - p3, p6 - 1j * p7],
-        [p4 + 1j * p5, p6 + 1j * p7, 2.0 * p8],
-    ]
-    return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
+    return np.einsum("...a,aij->...ij", p, LAMBDA_DUAL)
 
 
 def matrix_identity_residual(xdot, kappa=DEFAULT_KAPPA):
@@ -138,35 +126,38 @@ def matrix_identity_residual(xdot, kappa=DEFAULT_KAPPA):
 def momentum_constraint_residual(p, kappa=DEFAULT_KAPPA):
     """``det`` of the momentum matrix minus ``(2 kappa / 3)^3``.
 
-    Vanishes on momenta generated by a unit-speed velocity; externally
-    supplied momenta must keep it within ``1e-8 * |2 kappa / 3|^3`` to be
-    admitted by :func:`invert_momenta`.
+    ``p`` has shape ``(..., 9)``; the result has shape ``(...)`` (a float
+    for a single vector).  Vanishes on momenta generated by a unit-speed
+    velocity; externally supplied momenta must keep it within
+    ``1e-8 * |2 kappa / 3|^3`` to be admitted by :func:`invert_momenta`.
     """
     kappa = _check_kappa(kappa)
     p = np.asarray(p, dtype=float)
     det = np.linalg.det(momenta_matrix(p))
-    scale = max(1.0, float(np.linalg.norm(p)) ** 3)
-    if abs(det.imag) > 1e-12 * scale:
-        raise NonRealEntry(f"determinant imaginary part {det.imag:.3e}")
-    return float(det.real) - (2.0 * kappa / 3.0) ** 3
+    scale = np.maximum(1.0, np.linalg.norm(p, axis=-1) ** 3)
+    excess = np.abs(det.imag) - 1e-12 * scale
+    if np.any(excess > 0):
+        worst = det.imag.flat[np.argmax(excess)]
+        raise NonRealEntry(f"determinant imaginary part {worst:.3e}")
+    residual = det.real - (2.0 * kappa / 3.0) ** 3
+    return float(residual) if residual.ndim == 0 else residual
+
+
+#: Cyclic successors and predecessors of the row/column indices 0, 1, 2.
+_NEXT = np.array([1, 2, 0])
+_PREV = np.array([2, 0, 1])
 
 
 def _cofactor_inverse_scaled(n):
-    """Adjugate of a 3x3 matrix assembled from its nine 2x2 cofactors."""
-    def det2(a, b, c, d):
-        return a * d - b * c
+    """Adjugate of 3x3 matrices, ``adj(n) @ n = det(n) I``; shape ``(..., 3, 3)``.
 
-    adj = np.empty((3, 3), dtype=complex)
-    adj[0, 0] = det2(n[1, 1], n[1, 2], n[2, 1], n[2, 2])
-    adj[0, 1] = -det2(n[0, 1], n[0, 2], n[2, 1], n[2, 2])
-    adj[0, 2] = det2(n[0, 1], n[0, 2], n[1, 1], n[1, 2])
-    adj[1, 0] = -det2(n[1, 0], n[1, 2], n[2, 0], n[2, 2])
-    adj[1, 1] = det2(n[0, 0], n[0, 2], n[2, 0], n[2, 2])
-    adj[1, 2] = -det2(n[0, 0], n[0, 2], n[1, 0], n[1, 2])
-    adj[2, 0] = det2(n[1, 0], n[1, 1], n[2, 0], n[2, 1])
-    adj[2, 1] = -det2(n[0, 0], n[0, 1], n[2, 0], n[2, 1])
-    adj[2, 2] = det2(n[0, 0], n[0, 1], n[1, 0], n[1, 1])
-    return adj
+    Cofactor ``(i, j)`` is the 2x2 determinant of rows ``i+1, i+2`` and
+    columns ``j+1, j+2`` taken cyclically, which carries its sign.
+    """
+    rows1, rows2 = n[..., _NEXT, :], n[..., _PREV, :]  # rows i+1 and i+2
+    cofactor = (rows1[..., _NEXT] * rows2[..., _PREV]
+                - rows1[..., _PREV] * rows2[..., _NEXT])
+    return np.swapaxes(cofactor, -1, -2)
 
 
 def invert_momenta(p, kappa=DEFAULT_KAPPA, method="adjugate"):
@@ -174,35 +165,35 @@ def invert_momenta(p, kappa=DEFAULT_KAPPA, method="adjugate"):
 
     Parameters
     ----------
-    p : array_like, shape (9,)
+    p : array_like, shape (..., 9)
         Momenta whose matrix satisfies the determinant constraint within
-        ``1e-8 * |2 kappa / 3|^3`` (checked; no silent projection).
+        ``1e-8 * |2 kappa / 3|^3`` (checked row by row; no silent
+        projection).
     kappa : float
         Coupling constant, nonzero.
     method : {"adjugate", "inverse"}
-        "adjugate" combines the nine explicit 2x2 cofactor determinants of
-        the momentum matrix, using the constraint to substitute the exact
-        determinant value.  "inverse" goes through a generic LU inverse and
-        exists as an independent cross-check of the closed form.
+        "adjugate" takes the adjugate of the momentum matrix, using the
+        constraint to substitute the exact determinant value.  "inverse"
+        goes through a generic LU inverse and exists as an independent
+        cross-check of the closed form.
 
     Returns
     -------
-    ndarray, shape (9,)
+    ndarray, shape (..., 9)
         Velocities with unit-determinant Hermitian matrix; feeding them
         back to :func:`canonical_momenta` reproduces ``p``.
     """
     kappa = _check_kappa(kappa)
     p = np.asarray(p, dtype=float)
-    residual = momentum_constraint_residual(p, kappa)
+    residual = np.asarray(momentum_constraint_residual(p, kappa))
     c = 2.0 * kappa / 3.0
-    if abs(residual) > CONSTRAINT_ADMISSION_TOL * abs(c) ** 3:
-        raise InconsistentMomenta(
-            f"residual {residual:.6e} exceeds "
-            f"{CONSTRAINT_ADMISSION_TOL * abs(c) ** 3:.3e}"
-        )
+    admitted = CONSTRAINT_ADMISSION_TOL * abs(c) ** 3
+    if np.any(np.abs(residual) > admitted):
+        worst = residual.flat[np.argmax(np.abs(residual))]
+        raise InconsistentMomenta(f"residual {worst:.6e} exceeds {admitted:.3e}")
     n = momenta_matrix(p)
-    norm3 = float(np.linalg.norm(p)) ** 3
-    if abs(c) ** 3 < SINGULARITY_TOL * norm3:
+    norm3 = np.linalg.norm(p, axis=-1) ** 3
+    if np.any(abs(c) ** 3 < SINGULARITY_TOL * norm3):
         raise SingularMomentumMatrix(
             f"|det| = {abs(c) ** 3:.3e} below {SINGULARITY_TOL:.0e} * |P|^3"
         )
@@ -214,7 +205,7 @@ def invert_momenta(p, kappa=DEFAULT_KAPPA, method="adjugate"):
         vmat = c * np.linalg.inv(n)
     else:
         raise ValueError(f"unknown method {method!r}")
-    vmat = 0.5 * (vmat + vmat.conj().T)
+    vmat = 0.5 * (vmat + np.conj(np.swapaxes(vmat, -1, -2)))
     return matrix_to_vec(vmat)
 
 

@@ -11,8 +11,8 @@ minus mass times speed of light.
 
 import numpy as np
 
-from .exceptions import BlockLeakage, NonTimelike, NotUnimodular
-from .geometry import cubic_form, group_action
+from .exceptions import BlockLeakage, NonTimelike
+from .geometry import _require_unimodular, cubic_form, group_action
 
 #: Minkowski metric with signature (+, -, -, -).
 MINKOWSKI_METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
@@ -23,6 +23,11 @@ BLOCK_TOL = 1e-12
 _VEC = slice(0, 4)
 _SPIN = slice(4, 8)
 
+#: Entries of a 9x9 action inside the 4+4+1 diagonal blocks.
+_BLOCK_MASK = np.zeros((9, 9), dtype=bool)
+_BLOCK_MASK[_VEC, _VEC] = _BLOCK_MASK[_SPIN, _SPIN] = _BLOCK_MASK[8, 8] = True
+_BLOCK_MASK.setflags(write=False)
+
 
 def minkowski_norm_sq(x4):
     """``g_ab x^a x^b`` of a 4-vector (broadcasts over leading axes)."""
@@ -32,12 +37,7 @@ def minkowski_norm_sq(x4):
 
 def embed_sl2(d2):
     """Embed a unimodular 2x2 matrix in the upper-left block of a 3x3 one."""
-    d2 = np.asarray(d2, dtype=complex)
-    if d2.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {d2.shape}")
-    gap = abs(np.linalg.det(d2) - 1.0)
-    if not gap <= 1e-9:
-        raise NotUnimodular(f"|det - 1| = {gap:.3e} exceeds 1e-09")
+    d2 = _require_unimodular(d2, n=2)
     d3 = np.zeros((3, 3), dtype=complex)
     d3[:2, :2] = d2
     d3[2, 2] = 1.0
@@ -46,11 +46,7 @@ def embed_sl2(d2):
 
 def _split_blocks(ell, tol=BLOCK_TOL):
     """Separate a 9x9 matrix into the 4+4+1 diagonal blocks, or fail loudly."""
-    mask = np.zeros((9, 9), dtype=bool)
-    mask[_VEC, _VEC] = True
-    mask[_SPIN, _SPIN] = True
-    mask[8, 8] = True
-    leak = np.abs(np.where(mask, 0.0, ell)).max()
+    leak = np.abs(np.where(_BLOCK_MASK, 0.0, ell)).max()
     if leak > tol:
         raise BlockLeakage(f"cross-block entry {leak:.3e} exceeds {tol:.1e}")
     return ell[_VEC, _VEC].copy(), ell[_SPIN, _SPIN].copy(), float(ell[8, 8])
@@ -81,43 +77,30 @@ def _timelike_norm_sq(x4):
     return q
 
 
-def _spinor_terms(x4, s4):
-    """Portion of the cubic form that does not involve the ninth velocity."""
-    x0, x1, x2, x3 = (x4[..., a] for a in range(4))
-    s4_, s5, s6, s7 = (s4[..., a] for a in range(4))
-    return (
-        -x0 * (s4_**2 + s5**2 + s6**2 + s7**2)
-        + 2.0 * x1 * (s4_ * s6 + s5 * s7)
-        + 2.0 * x2 * (s5 * s6 - s4_ * s7)
-        + x3 * (s4_**2 + s5**2 - s6**2 - s7**2)
-    )
-
-
 def constraint_residual(xdot):
     """How far a 9-velocity is from the velocity constraint of the 4D limit.
 
-    The constraint equates the cubic form, grouped as the Minkowski norm of
-    the 4-velocity part times the ninth velocity plus spinor terms, with
-    the 3/2 power of that Minkowski norm.  Requires a timelike 4-part.
+    The constraint equates the cubic form with the 3/2 power of the
+    Minkowski norm of the 4-velocity part.  Requires a timelike 4-part.
     """
     xdot = np.asarray(xdot, dtype=float)
-    x4, s4, x8 = xdot[..., _VEC], xdot[..., _SPIN], xdot[..., 8]
-    q = _timelike_norm_sq(x4)
-    lhs = q * x8 + _spinor_terms(x4, s4)
-    return lhs - q**1.5
+    q = _timelike_norm_sq(xdot[..., _VEC])
+    return cubic_form(xdot) - q**1.5
 
 
 def solve_x8dot(xdot03, xdot47):
     """The unique ninth velocity closing the 4D-limit constraint.
 
-    The constraint is linear in the ninth velocity with coefficient equal
-    to the (positive, timelike) Minkowski norm of the 4-velocity part.
-    Broadcasts over leading axes.
+    The cubic form is linear in the ninth velocity with coefficient equal
+    to the (positive, timelike) Minkowski norm of the 4-velocity part, so
+    the solution is the constraint's deficit at a zero ninth velocity over
+    that norm.  Broadcasts over leading axes.
     """
-    x4 = np.asarray(xdot03, dtype=float)
-    s4 = np.asarray(xdot47, dtype=float)
+    x4, s4 = np.broadcast_arrays(np.asarray(xdot03, dtype=float),
+                                 np.asarray(xdot47, dtype=float))
     q = _timelike_norm_sq(x4)
-    return (q**1.5 - _spinor_terms(x4, s4)) / q
+    resting = np.concatenate([x4, s4, np.zeros_like(x4[..., :1])], axis=-1)
+    return (q**1.5 - cubic_form(resting)) / q
 
 
 def assemble_velocity(xdot03, xdot47):

@@ -36,6 +36,25 @@ from finsler9 import (
 DIAG = np.array([1.0, 0, 0, 0, 0, 0, 0, 0, 1.0])
 
 
+def cubic_form_gradient(xdot):
+    """Hand-expanded gradient of the cubic form; an oracle for the adjugate."""
+    x0, x1, x2, x3, x4, x5, x6, x7, x8 = (xdot[..., a] for a in range(9))
+    return np.stack(
+        [
+            2.0 * x0 * x8 - x4**2 - x5**2 - x6**2 - x7**2,
+            2.0 * (-x1 * x8 + x4 * x6 + x5 * x7),
+            2.0 * (-x2 * x8 + x5 * x6 - x4 * x7),
+            -2.0 * x3 * x8 + x4**2 + x5**2 - x6**2 - x7**2,
+            2.0 * (-x0 * x4 + x1 * x6 - x2 * x7 + x3 * x4),
+            2.0 * (-x0 * x5 + x1 * x7 + x2 * x6 + x3 * x5),
+            2.0 * (-x0 * x6 + x1 * x4 + x2 * x5 - x3 * x6),
+            2.0 * (-x0 * x7 + x1 * x5 - x2 * x4 - x3 * x7),
+            x0**2 - x1**2 - x2**2 - x3**2,
+        ],
+        axis=-1,
+    )
+
+
 class TestLagrangian:
     def test_unit_diagonal_velocity(self):
         assert lagrangian(DIAG, kappa=-1.0) == -1.0
@@ -95,6 +114,16 @@ class TestCanonicalMomenta:
             p = canonical_momenta(xdot)
             assert_allclose(canonical_momenta(c * xdot), p,
                             rtol=0, atol=1e-12 * np.abs(p).max())
+
+    def test_matches_hand_expanded_gradient(self):
+        rng = np.random.default_rng(191)
+        xdot = np.stack([random_nonisotropic_velocity(rng) for _ in range(1000)])
+        kappa = -1.5
+        f = cubic_form(xdot)
+        expected = (kappa / 3.0) * cubic_form_gradient(xdot) / (np.cbrt(f) ** 2)[:, None]
+        got = canonical_momenta(xdot, kappa)
+        gap = np.abs(got - expected).max(axis=1) / np.abs(expected).max(axis=1)
+        assert gap.max() <= 1e-14
 
     def test_negative_rescaling_also_invariant(self):
         rng = np.random.default_rng(109)
@@ -255,6 +284,45 @@ class TestInvertMomenta:
                 bumped = p.copy()
                 bumped[a] += 1e-3
                 invert_momenta(bumped, kappa)
+
+
+class TestStackedMomenta:
+    @staticmethod
+    def stack(seed, shape=(4, 16)):
+        rng = np.random.default_rng(seed)
+        v = np.stack([unit_speed_velocity(rng) for _ in range(np.prod(shape))])
+        return canonical_momenta(v).reshape(*shape, 9)
+
+    @pytest.mark.parametrize("method", ["adjugate", "inverse"])
+    def test_stack_matches_per_row_calls(self, method):
+        p = self.stack(193)
+        rows = p.reshape(-1, 9)
+        velocities = invert_momenta(p, method=method)
+        residuals = momentum_constraint_residual(p)
+        assert velocities.shape == p.shape and residuals.shape == p.shape[:-1]
+        assert_allclose(velocities.reshape(-1, 9),
+                        [invert_momenta(r, method=method) for r in rows],
+                        rtol=1e-12, atol=0)
+        assert_allclose(residuals.ravel(),
+                        [momentum_constraint_residual(r) for r in rows],
+                        rtol=1e-12, atol=0)
+
+    def test_one_bumped_row_rejects_the_stack(self):
+        p = self.stack(197, shape=(32,))
+        p[11, 3] += 1e-3
+        with pytest.raises(InconsistentMomenta) as single:
+            invert_momenta(p[11])
+        with pytest.raises(InconsistentMomenta) as stacked:
+            invert_momenta(p)
+        assert str(stacked.value) == str(single.value)
+
+    def test_single_vector_results_keep_their_types_and_messages(self):
+        p = self.stack(199, shape=(1,))[0]
+        assert type(momentum_constraint_residual(p)) is float
+        assert invert_momenta(p).shape == (9,)
+        with pytest.raises(InconsistentMomenta) as zero:
+            invert_momenta(np.zeros(9))
+        assert str(zero.value) == "residual 2.962963e-01 exceeds 2.963e-09"
 
 
 class TestMomentumCovariance:

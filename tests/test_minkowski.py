@@ -178,6 +178,26 @@ class TestSolveNinthVelocity:
             scale = max(1.0, minkowski_norm_sq(x4) ** 1.5)
             assert abs(constraint_residual(nine)) <= 1e-12 * scale
 
+    def test_matches_hand_expanded_spinor_terms(self):
+        # the part of the cubic form without the ninth velocity, written out
+        def spinor_terms(x4, s4):
+            x0, x1, x2, x3 = (x4[..., a] for a in range(4))
+            s4_, s5, s6, s7 = (s4[..., a] for a in range(4))
+            return (
+                -x0 * (s4_**2 + s5**2 + s6**2 + s7**2)
+                + 2.0 * x1 * (s4_ * s6 + s5 * s7)
+                + 2.0 * x2 * (s5 * s6 - s4_ * s7)
+                + x3 * (s4_**2 + s5**2 - s6**2 - s7**2)
+            )
+
+        rng = np.random.default_rng(269)
+        x4, spinor = map(np.stack, zip(*(random_timelike(rng, 2.0) for _ in range(2000))))
+        spinor[::7, 1] = 0.0
+        q = minkowski_norm_sq(x4)
+        expected = (q**1.5 - spinor_terms(x4, spinor)) / q
+        assert np.array_equal(solve_x8dot(x4, spinor), expected)
+        assert np.array_equal(solve_x8dot(x4[0], spinor[0]), expected[0])
+
     def test_rejects_null_part(self):
         with pytest.raises(NonTimelike):
             solve_x8dot([1.0, 1.0, 0.0, 0.0], np.zeros(4))
