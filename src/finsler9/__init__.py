@@ -59,4 +59,4 @@ from .minkowski import (
 )
 from .checks import CHECK_NAMES, run_checks
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

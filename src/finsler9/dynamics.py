@@ -26,6 +26,7 @@ from .exceptions import (
 from .geometry import (
     LAMBDA_DUAL,
     LAMBDA_MATRICES,
+    _rejection_sample,
     cubic_form,
     matrix_to_vec,
     vec_to_matrix,
@@ -113,14 +114,16 @@ def matrix_identity_residual(xdot, kappa=DEFAULT_KAPPA):
     The Hermitian velocity matrix times the momentum matrix equals
     ``(2 kappa / 3)`` times the cube root of the cubic form times the
     identity, for every real velocity.  Returns the max-entry norm of the
-    difference; the contract is ``<= 1e-10 * (1 + |xdot|^2 |P|)``.
+    difference, shape ``(...)`` for ``(..., 9)`` velocities (a float for a
+    single one); the contract is ``<= 1e-10 * (1 + |xdot|^2 |P|)``.
     """
     kappa = _check_kappa(kappa)
     xdot = np.asarray(xdot, dtype=float)
     p = canonical_momenta(xdot, kappa)
     lhs = vec_to_matrix(xdot) @ momenta_matrix(p)
-    rhs = (2.0 * kappa / 3.0) * np.cbrt(cubic_form(xdot)) * np.eye(3)
-    return float(np.abs(lhs - rhs).max())
+    rhs = (2.0 * kappa / 3.0) * np.cbrt(cubic_form(xdot))[..., None, None] * np.eye(3)
+    residual = np.abs(lhs - rhs).max(axis=(-2, -1))
+    return float(residual) if residual.ndim == 0 else residual
 
 
 def momentum_constraint_residual(p, kappa=DEFAULT_KAPPA):
@@ -188,12 +191,12 @@ def invert_momenta(p, kappa=DEFAULT_KAPPA, method="adjugate"):
     residual = np.asarray(momentum_constraint_residual(p, kappa))
     c = 2.0 * kappa / 3.0
     admitted = CONSTRAINT_ADMISSION_TOL * abs(c) ** 3
-    if np.any(np.abs(residual) > admitted):
+    if not np.all(np.abs(residual) <= admitted):  # NaN fails too
         worst = residual.flat[np.argmax(np.abs(residual))]
         raise InconsistentMomenta(f"residual {worst:.6e} exceeds {admitted:.3e}")
     n = momenta_matrix(p)
     norm3 = np.linalg.norm(p, axis=-1) ** 3
-    if np.any(abs(c) ** 3 < SINGULARITY_TOL * norm3):
+    if not np.all(abs(c) ** 3 >= SINGULARITY_TOL * norm3):
         raise SingularMomentumMatrix(
             f"|det| = {abs(c) ** 3:.3e} below {SINGULARITY_TOL:.0e} * |P|^3"
         )
@@ -213,9 +216,11 @@ def transform_momenta(transform, p):
     """Carry momenta along a 9x9 coordinate transformation.
 
     Momenta transform with the inverse transpose so that the pairing
-    ``P . X`` is preserved.
+    ``P . X`` is preserved.  A ``(..., 9, 9)`` stack of transforms
+    broadcasts against ``(..., 9)`` momenta.
     """
-    return np.linalg.solve(np.asarray(transform, dtype=float).T, np.asarray(p, dtype=float))
+    transpose = np.swapaxes(np.asarray(transform, dtype=float), -1, -2)
+    return np.linalg.solve(transpose, np.asarray(p, dtype=float)[..., None])[..., 0]
 
 
 def _require_unit_speed(v0):
@@ -268,10 +273,13 @@ def arc_length(tau, positions):
     Velocities are finite differences (central in the interior, one-sided
     second order at the ends), the integrand is the real cube root of
     their cubic form, and the running integral is a composite trapezoid
-    starting at 0.  Every sample must be nonisotropic.
+    starting at 0.  Every sample must be nonisotropic, and ``tau`` must be
+    a 1-d grid of at least 3 samples (otherwise :class:`DegeneratePath`).
     """
     tau = np.asarray(tau, dtype=float)
     positions = np.asarray(positions, dtype=float)
+    if tau.ndim != 1:
+        raise DegeneratePath(f"tau must be a 1-d grid of samples, got shape {tau.shape}")
     if len(tau) < 3:
         raise DegeneratePath(f"need at least 3 samples, got {len(tau)}")
     vel = np.gradient(positions, tau, axis=0)
@@ -285,9 +293,13 @@ def reparametrize(traj, s_of_tau, tau):
 
     ``s_of_tau`` is either a callable or an array of arc-length values
     aligned with ``tau``; it must start at 0 and be strictly monotone
-    (otherwise :class:`NonMonotone`).  Returns ``(tau, positions)``.
+    (otherwise :class:`NonMonotone`).  ``tau`` is a 1-d grid of at least
+    2 samples (otherwise :class:`DegeneratePath`).  Returns
+    ``(tau, positions)``.
     """
     tau = np.asarray(tau, dtype=float)
+    if tau.ndim != 1 or len(tau) < 2:
+        raise DegeneratePath(f"need a 1-d grid of at least 2 samples, got shape {tau.shape}")
     s = np.asarray(s_of_tau(tau) if callable(s_of_tau) else s_of_tau, dtype=float)
     if s.shape != tau.shape:
         raise ValueError("s samples must align with tau samples")
@@ -339,20 +351,25 @@ def action_stationarity_check(traj, eta, amplitudes, kappa=DEFAULT_KAPPA, sample
     return float(slope)
 
 
-def random_nonisotropic_velocity(rng, margin=1e-3, scale=1.0):
-    """Uniform velocity draw rejected until safely off the isotropic cone.
+def random_nonisotropic_velocity(rng, margin=1e-3, scale=1.0, size=None):
+    """Uniform velocity draws rejected until safely off the isotropic cone.
 
     ``margin`` is the admitted lower bound of |cubic form| relative to the
     euclidean norm cubed; 1e-3 keeps downstream quotients well conditioned
-    while rejecting almost nothing.
+    while rejecting almost nothing.  ``size`` (an int or a shape) stacks
+    that many velocities, shape ``size + (9,)``; rejected draws are redrawn
+    as a block.  ``size=None`` returns one ``(9,)`` velocity.
     """
-    while True:
-        xdot = rng.uniform(-scale, scale, size=9)
-        if abs(cubic_form(xdot)) >= margin * np.linalg.norm(xdot) ** 3:
-            return xdot
+    def accept(x):
+        return np.abs(cubic_form(x)) >= margin * np.linalg.norm(x, axis=-1) ** 3
+
+    return _rejection_sample(lambda k: rng.uniform(-scale, scale, size=(k, 9)), accept, size)
 
 
-def unit_speed_velocity(rng, margin=1e-3):
-    """Random velocity rescaled so its cubic form is exactly one."""
-    xdot = random_nonisotropic_velocity(rng, margin)
-    return xdot / np.cbrt(cubic_form(xdot))
+def unit_speed_velocity(rng, margin=1e-3, size=None):
+    """Random velocities rescaled so their cubic form is exactly one.
+
+    ``size`` is passed to :func:`random_nonisotropic_velocity`.
+    """
+    xdot = random_nonisotropic_velocity(rng, margin, size=size)
+    return xdot / np.cbrt(cubic_form(xdot))[..., None]

@@ -153,10 +153,11 @@ def matrix_to_vec(m, tol=HERMITIAN_TOL):
 
 
 def _require_unimodular(d, n=3):
+    """``d`` as a complex ``(..., n, n)`` stack, or NotUnimodular for its worst gap."""
     d = np.asarray(d, dtype=complex)
-    if d.shape != (n, n):
-        raise ValueError(f"expected a {n}x{n} matrix, got shape {d.shape}")
-    gap = abs(np.linalg.det(d) - 1.0)
+    if d.shape[-2:] != (n, n):
+        raise ValueError(f"expected {n}x{n} matrices, got shape {d.shape}")
+    gap = np.max(np.abs(np.linalg.det(d) - 1.0), initial=0.0)
     if not gap <= UNIMODULAR_TOL:
         raise NotUnimodular(f"|det - 1| = {gap:.3e} exceeds {UNIMODULAR_TOL:.1e}")
     return d
@@ -165,18 +166,18 @@ def _require_unimodular(d, n=3):
 def group_action(d):
     """Real 9x9 matrix of the linear action induced by a unimodular ``d``.
 
-    Entry ``(a, b)`` is half the trace of ``dual[a] @ d @ lam[b] @ d^+``.
-    The cubic form is invariant under the returned matrix.  Imaginary
-    residues of the trace are checked against an absolute tolerance and
-    discarded; a violation means the input corrupted the algebra (for
-    instance through catastrophically large entries) and raises
-    :class:`NonRealEntry`.
+    Entry ``(a, b)`` is half the trace of ``dual[a] @ d @ lam[b] @ d^+``,
+    computed as the conjugated basis ``d lam[b] d^+`` paired with the dual
+    basis; ``d`` of shape ``(..., 3, 3)`` gives ``(..., 9, 9)``.  The cubic
+    form is invariant under the returned matrix.  Imaginary residues of the
+    trace are checked against an absolute tolerance and discarded; a
+    violation means the input corrupted the algebra (for instance through
+    catastrophically large entries) and raises :class:`NonRealEntry`.
     """
     d = _require_unimodular(d)
-    chain = np.einsum("aij,jk,bkl,lm->abim", LAMBDA_DUAL, d,
-                      LAMBDA_MATRICES, d.conj().T)
-    ell = 0.5 * np.trace(chain, axis1=2, axis2=3)
-    residue = np.abs(ell.imag).max()
+    m = np.einsum("...ij,bjk,...lk->...bil", d, LAMBDA_MATRICES, d.conj())
+    ell = 0.5 * np.einsum("aij,...bji->...ab", LAMBDA_DUAL, m)
+    residue = np.max(np.abs(ell.imag), initial=0.0)
     if residue > REAL_ENTRY_TOL:
         raise NonRealEntry(f"imaginary residue {residue:.3e} exceeds {REAL_ENTRY_TOL:.1e}")
     return ell.real
@@ -186,24 +187,44 @@ def conjugation_action(d, x):
     """Transform a 9-vector by conjugating its Hermitian representation.
 
     Returns the 9-vector of ``d @ vec_to_matrix(x) @ d^+``; equals
-    ``group_action(d) @ x``.
+    ``group_action(d) @ x`` and broadcasts over leading axes.
     """
     d = _require_unimodular(d)
-    m = d @ vec_to_matrix(x) @ d.conj().T
+    m = d @ vec_to_matrix(x) @ np.conj(np.swapaxes(d, -1, -2))
     m = 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))  # exact result is Hermitian
     return matrix_to_vec(m)
 
 
-def random_unimodular(rng, n=3):
-    """Random determinant-1 complex ``n x n`` matrix.
+def _rejection_sample(draw, accept, size):
+    """Draw candidate blocks until ``size`` of them pass ``accept``.
+
+    ``draw(k)`` returns ``k`` candidates stacked on the first axis and
+    ``accept`` maps them to a boolean mask.  The first block has ``size``
+    candidates and every later one only the shortfall, so ``size=None``
+    (one candidate per block, squeezed) consumes the generator exactly as a
+    draw-one-test-one loop does.  ``size`` may be an int or a shape.
+    """
+    shape = () if size is None else tuple(size) if np.iterable(size) else (int(size),)
+    count = int(np.prod(shape))
+    kept = draw(count)
+    kept = kept[accept(kept)]
+    while len(kept) < count:
+        more = draw(count - len(kept))
+        kept = np.concatenate([kept, more[accept(more)]])
+    return kept.reshape(shape + kept.shape[1:])
+
+
+def random_unimodular(rng, n=3, size=None):
+    """Random determinant-1 complex ``n x n`` matrices, shape ``size + (n, n)``.
 
     Entries are drawn uniformly from the unit square of the complex plane;
-    draws with ``|det| < 0.1`` are rejected and the survivor is divided by
-    the principal cube (square) root of its determinant, which lands the
-    determinant on 1 regardless of branch.
+    draws with ``|det| < 0.1`` are rejected (and only the rejected ones are
+    redrawn) and each survivor is divided by the principal cube (square)
+    root of its determinant, which lands the determinant on 1 regardless of
+    branch.  ``size=None`` returns one ``(n, n)`` matrix.
     """
-    while True:
-        d = rng.random((n, n)) + 1j * rng.random((n, n))
-        det = np.linalg.det(d)
-        if abs(det) >= 0.1:
-            return d / det ** (1.0 / n)
+    def draw(k):
+        return rng.random((k, n, n)) + 1j * rng.random((k, n, n))
+
+    d = _rejection_sample(draw, lambda d: np.abs(np.linalg.det(d)) >= 0.1, size)
+    return d / (np.linalg.det(d) ** (1.0 / n))[..., None, None]

@@ -36,20 +36,25 @@ def minkowski_norm_sq(x4):
 
 
 def embed_sl2(d2):
-    """Embed a unimodular 2x2 matrix in the upper-left block of a 3x3 one."""
+    """Embed unimodular 2x2 matrices in the upper-left block of 3x3 ones.
+
+    Broadcasts over leading axes: ``(..., 2, 2)`` gives ``(..., 3, 3)``.
+    """
     d2 = _require_unimodular(d2, n=2)
-    d3 = np.zeros((3, 3), dtype=complex)
-    d3[:2, :2] = d2
-    d3[2, 2] = 1.0
+    d3 = np.zeros(d2.shape[:-2] + (3, 3), dtype=complex)
+    d3[..., :2, :2] = d2
+    d3[..., 2, 2] = 1.0
     return d3
 
 
 def _split_blocks(ell, tol=BLOCK_TOL):
-    """Separate a 9x9 matrix into the 4+4+1 diagonal blocks, or fail loudly."""
-    leak = np.abs(np.where(_BLOCK_MASK, 0.0, ell)).max()
-    if leak > tol:
+    """Separate 9x9 matrices into the 4+4+1 diagonal blocks, or fail loudly."""
+    leak = np.max(np.abs(np.where(_BLOCK_MASK, 0.0, ell)), initial=0.0)
+    if not leak <= tol:
         raise BlockLeakage(f"cross-block entry {leak:.3e} exceeds {tol:.1e}")
-    return ell[_VEC, _VEC].copy(), ell[_SPIN, _SPIN].copy(), float(ell[8, 8])
+    scalar = ell[..., 8, 8].copy()
+    return (ell[..., _VEC, _VEC].copy(), ell[..., _SPIN, _SPIN].copy(),
+            float(scalar) if scalar.ndim == 0 else scalar)
 
 
 def block_split_check(d2):
@@ -57,17 +62,21 @@ def block_split_check(d2):
 
     Returns ``(vector_block, spinor_block, scalar)`` where the vector block
     acts on components 0-3, the spinor block on 4-7, and the scalar (always
-    1) on component 8.  Raises :class:`BlockLeakage` if any cross-block
-    entry survives above tolerance.
+    1) on component 8; a ``(..., 2, 2)`` stack gives stacked blocks.  Raises
+    :class:`BlockLeakage` if any cross-block entry survives above tolerance.
     """
     return _split_blocks(group_action(embed_sl2(d2)))
 
 
 def lorentz_residual(block):
-    """Max-entry norm of ``block^T g block - g``; zero for Lorentz matrices."""
+    """Max-entry norm of ``block^T g block - g``; zero for Lorentz matrices.
+
+    ``(..., 4, 4)`` blocks give shape ``(...)`` (a float for a single one).
+    """
     block = np.asarray(block, dtype=float)
     g = MINKOWSKI_METRIC
-    return float(np.abs(block.T @ g @ block - g).max())
+    residual = np.abs(np.swapaxes(block, -1, -2) @ g @ block - g).max(axis=(-2, -1))
+    return float(residual) if residual.ndim == 0 else residual
 
 
 def _timelike_norm_sq(x4):
@@ -120,18 +129,25 @@ def reduced_action_check(tau, xdot4, spinor, mass, light_speed, kappa=None):
     9-space action at coupling ``kappa`` (default ``-mass * light_speed``),
     the second is ``-mass * light_speed`` times the proper-time integral.
     They agree exactly when ``kappa`` keeps its default value.
+
+    Curves stacked as ``(..., n, 4)`` with ``mass``, ``light_speed`` and
+    ``kappa`` broadcasting against ``(...)`` give two ``(...)`` arrays;
+    one curve gives two floats.
     """
-    mass = float(mass)
-    light_speed = float(light_speed)
-    if mass <= 0 or light_speed <= 0:
+    mass = np.asarray(mass, dtype=float)
+    light_speed = np.asarray(light_speed, dtype=float)
+    if not (np.all(mass > 0) and np.all(light_speed > 0)):
         raise ValueError("mass and light speed must be positive")
     if kappa is None:
         kappa = -mass * light_speed
+    kappa = np.asarray(kappa, dtype=float)
     tau = np.asarray(tau, dtype=float)
     xdot4 = np.asarray(xdot4, dtype=float)
     spinor = np.asarray(spinor, dtype=float)
     q = _timelike_norm_sq(xdot4)
     nine = assemble_velocity(xdot4, spinor)
-    s_cubic = float(np.trapezoid(kappa * np.cbrt(cubic_form(nine)), tau))
-    s_mink = float(np.trapezoid(-mass * light_speed * np.sqrt(q), tau))
+    s_cubic = np.trapezoid(kappa[..., None] * np.cbrt(cubic_form(nine)), tau, axis=-1)
+    s_mink = np.trapezoid(-(mass * light_speed)[..., None] * np.sqrt(q), tau, axis=-1)
+    if s_cubic.ndim == 0:
+        return float(s_cubic), float(s_mink)
     return s_cubic, s_mink

@@ -33,6 +33,7 @@ from finsler9 import (
     unit_speed_velocity,
     vec_to_matrix,
 )
+from finsler9.checks import all_passed, run_checks
 
 DIAG_MOMENTA = ["-0.6666666666666666", "0", "0", "0", "0", "0", "0", "0",
                 "-0.3333333333333333"]
@@ -251,3 +252,11 @@ def test_12_cli_determinism(tmp_path):
     ok = (reports[0] == reports[1] and proc.returncode == 0
           and proc.stdout == expected)
     verdict("12 command line determinism", ok, time.perf_counter() - start, 5.0)
+
+
+def test_13_invariant_suite_runtime():
+    start = time.perf_counter()
+    report = run_checks(seed=0, trials=500)
+    ok = len(report) == 27 and all_passed(report)
+    verdict("13 invariant suite, 27 checks at 500 trials", ok,
+            time.perf_counter() - start, 1.0)

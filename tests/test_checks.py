@@ -49,3 +49,12 @@ def test_fixed_enumeration_checks_ignore_trials():
 def test_every_check_has_a_direction():
     for spec in CHECKS:
         assert spec.cmp in ("le", "ge")
+
+
+def test_trial_counts_are_unchanged():
+    trials = 7
+    report = run_checks(seed=0, trials=trials)
+    for name, entry in report.items():
+        expected = {"duality": 81, "stationarity": 5}.get(name, trials)
+        assert entry["trials"] == expected, name
+    assert sum(entry["trials"] for entry in report.values()) == 25 * trials + 81 + 5

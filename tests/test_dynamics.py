@@ -411,6 +411,10 @@ class TestArcLength:
         with pytest.raises(IsotropicVelocity):
             arc_length(tau, positions)
 
+    def test_scalar_tau_is_degenerate(self):
+        with pytest.raises(DegeneratePath):
+            arc_length(0.5, DIAG)
+
 
 class TestReparametrize:
     def test_identity_map(self):
@@ -447,6 +451,11 @@ class TestReparametrize:
         tau = np.linspace(0.0, 1.0, 11)
         with pytest.raises(ValueError):
             reparametrize(traj, lambda t: t + 1.0, tau)
+
+    def test_single_sample_is_degenerate(self):
+        traj = Trajectory(np.zeros(9), DIAG)
+        with pytest.raises(DegeneratePath):
+            reparametrize(traj, lambda t: t, np.zeros(1))
 
 
 def interior_bump(slot, lo=0.3, hi=0.7):
@@ -506,3 +515,81 @@ class TestActionStationarity:
         with pytest.raises(ValueError):
             action_stationarity_check(traj, interior_bump(1), [1e-2, 1e-3],
                                       samples=50)
+
+
+def nonisotropic_loop(rng, margin=1e-3, scale=1.0):
+    """The one-at-a-time rejection loop ``random_nonisotropic_velocity`` replaced."""
+    while True:
+        xdot = rng.uniform(-scale, scale, size=9)
+        if abs(cubic_form(xdot)) >= margin * np.linalg.norm(xdot) ** 3:
+            return xdot
+
+
+def unit_speed_loop(rng, margin=1e-3):
+    """The per-draw ``unit_speed_velocity`` the block sampler replaced."""
+    xdot = nonisotropic_loop(rng, margin)
+    return xdot / np.cbrt(cubic_form(xdot))
+
+
+class TestVelocitySamplers:
+    # a margin of 0.05 rejects about half of the draws, so redraws are exercised
+    @pytest.mark.parametrize("margin", [1e-3, 0.05])
+    def test_single_draws_match_the_loops_bit_for_bit(self, margin):
+        rng, oracle = np.random.default_rng(401), np.random.default_rng(401)
+        for _ in range(300):
+            assert np.array_equal(random_nonisotropic_velocity(rng, margin, scale=3.0),
+                                  nonisotropic_loop(oracle, margin, scale=3.0))
+            assert np.array_equal(unit_speed_velocity(rng, margin),
+                                  unit_speed_loop(oracle, margin))
+        assert rng.random() == oracle.random()  # same generator state afterwards
+
+    @pytest.mark.parametrize("margin", [1e-3, 0.05])
+    def test_sized_draws_meet_the_margin(self, margin):
+        x = random_nonisotropic_velocity(np.random.default_rng(409), margin, size=500)
+        assert x.shape == (500, 9)
+        assert np.all(np.abs(cubic_form(x)) >= margin * np.linalg.norm(x, axis=-1) ** 3)
+
+    def test_sized_unit_speed_draws_have_unit_determinant(self):
+        v = unit_speed_velocity(np.random.default_rng(419), size=(20, 25))
+        assert v.shape == (20, 25, 9)
+        assert np.abs(np.linalg.det(vec_to_matrix(v)).real - 1.0).max() < 1e-12
+
+    def test_zero_size_draws_nothing(self):
+        rng = np.random.default_rng(421)
+        assert random_nonisotropic_velocity(rng, size=0).shape == (0, 9)
+        assert rng.random() == np.random.default_rng(421).random()
+
+
+class TestStackedMechanics:
+    def test_matrix_identity_residual_matches_per_row_calls(self):
+        xdot = random_nonisotropic_velocity(np.random.default_rng(431), size=(5, 12))
+        residuals = matrix_identity_residual(xdot)
+        assert residuals.shape == (5, 12)
+        assert_allclose(residuals.ravel(),
+                        [matrix_identity_residual(x) for x in xdot.reshape(-1, 9)],
+                        rtol=1e-12, atol=1e-16)
+        assert type(matrix_identity_residual(xdot[0, 0])) is float
+
+    def test_transform_momenta_matches_per_row_calls(self):
+        rng = np.random.default_rng(433)
+        p = canonical_momenta(unit_speed_velocity(rng, size=30))
+        ell = group_action(random_unimodular(rng, size=30))
+        moved = transform_momenta(ell, p)
+        assert moved.shape == (30, 9)
+        assert_allclose(moved, [transform_momenta(e, q) for e, q in zip(ell, p)],
+                        rtol=1e-12, atol=1e-15)
+        # one transform broadcasts over a stack of momenta
+        assert_allclose(transform_momenta(ell[0], p),
+                        [transform_momenta(ell[0], q) for q in p], rtol=1e-12, atol=1e-15)
+
+    def test_single_transform_is_unchanged(self):
+        rng = np.random.default_rng(439)
+        p = canonical_momenta(unit_speed_velocity(rng))
+        ell = group_action(random_unimodular(rng))
+        assert np.array_equal(transform_momenta(ell, p), np.linalg.solve(ell.T, p))
+
+    def test_nan_row_raises_inconsistent_momenta(self):
+        p = canonical_momenta(unit_speed_velocity(np.random.default_rng(443), size=3))
+        p[1, 4] = np.nan
+        with pytest.raises(InconsistentMomenta):
+            invert_momenta(p)

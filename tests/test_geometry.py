@@ -227,3 +227,61 @@ class TestGroupAction:
             for _ in range(50):
                 d = random_unimodular(rng, n=n)
                 assert abs(np.linalg.det(d) - 1.0) < 1e-12
+
+
+def unimodular_loop(rng, n=3):
+    """The one-at-a-time rejection loop ``random_unimodular`` replaced."""
+    while True:
+        d = rng.random((n, n)) + 1j * rng.random((n, n))
+        det = np.linalg.det(d)
+        if abs(det) >= 0.1:
+            return d / det ** (1.0 / n)
+
+
+class TestStackedGroupAction:
+    def test_stack_equals_per_matrix_calls_exactly(self):
+        d = random_unimodular(np.random.default_rng(43), size=(4, 25))
+        ell = group_action(d)
+        assert ell.shape == (4, 25, 9, 9)
+        per_matrix = np.array([group_action(m) for m in d.reshape(-1, 3, 3)])
+        assert np.array_equal(ell.reshape(-1, 9, 9), per_matrix)
+
+    def test_stacked_conjugation_matches_per_item_calls(self):
+        rng = np.random.default_rng(47)
+        d = random_unimodular(rng, size=30)
+        x = rng.uniform(-1, 1, size=(30, 9))
+        assert_allclose(conjugation_action(d, x),
+                        [conjugation_action(m, v) for m, v in zip(d, x)],
+                        rtol=1e-12, atol=1e-15)
+
+    def test_one_non_unimodular_matrix_rejects_the_stack(self):
+        d = random_unimodular(np.random.default_rng(53), size=8)
+        d[5] *= 2.0
+        with pytest.raises(NotUnimodular):
+            group_action(d)
+
+    def test_nan_matrix_is_not_unimodular(self):
+        d = random_unimodular(np.random.default_rng(59), size=3)
+        d[1, 0, 0] = np.nan
+        with pytest.raises(NotUnimodular):
+            group_action(d)
+
+
+class TestRandomUnimodularSize:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_single_draws_match_the_loop_bit_for_bit(self, n):
+        rng, oracle = np.random.default_rng(61), np.random.default_rng(61)
+        for _ in range(300):
+            assert np.array_equal(random_unimodular(rng, n=n), unimodular_loop(oracle, n))
+        assert rng.random() == oracle.random()  # same generator state afterwards
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_sized_draws_have_unit_determinant(self, n):
+        d = random_unimodular(np.random.default_rng(67), n=n, size=400)
+        assert d.shape == (400, n, n)
+        assert np.abs(np.linalg.det(d) - 1.0).max() < 1e-12
+
+    def test_shape_sizes(self):
+        rng = np.random.default_rng(71)
+        assert random_unimodular(rng, size=(2, 3)).shape == (2, 3, 3, 3)
+        assert random_unimodular(rng, size=0).shape == (0, 3, 3)

@@ -271,3 +271,50 @@ class TestReducedAction:
         x4[100] = [0.5, 0.9, 0, 0]
         with pytest.raises(NonTimelike):
             reduced_action_check(tau, x4, np.zeros((201, 4)), 1.0, 1.0)
+
+
+class TestStackedSubgroup:
+    def test_embedding_matches_per_matrix_calls(self):
+        d2 = random_unimodular(np.random.default_rng(307), n=2, size=(3, 10))
+        d3 = embed_sl2(d2)
+        assert d3.shape == (3, 10, 3, 3)
+        assert_allclose(d3.reshape(-1, 3, 3), [embed_sl2(d) for d in d2.reshape(-1, 2, 2)],
+                        rtol=1e-12, atol=0)
+
+    def test_block_split_matches_per_matrix_calls(self):
+        d2 = random_unimodular(np.random.default_rng(311), n=2, size=40)
+        vec, spin, scalar = block_split_check(d2)
+        assert vec.shape == spin.shape == (40, 4, 4) and scalar.shape == (40,)
+        rows = [block_split_check(d) for d in d2]
+        assert_allclose(vec, [r[0] for r in rows], rtol=1e-12, atol=1e-15)
+        assert_allclose(spin, [r[1] for r in rows], rtol=1e-12, atol=1e-15)
+        assert_allclose(scalar, [r[2] for r in rows], rtol=1e-12, atol=0)
+
+    def test_lorentz_residual_matches_per_block_calls(self):
+        vec, _, _ = block_split_check(random_unimodular(np.random.default_rng(313), n=2,
+                                                        size=40))
+        residuals = lorentz_residual(vec)
+        assert residuals.shape == (40,)
+        assert_allclose(residuals, [lorentz_residual(b) for b in vec], rtol=1e-12, atol=1e-16)
+        assert type(lorentz_residual(vec[0])) is float
+
+    def test_one_non_unimodular_matrix_rejects_the_stack(self):
+        d2 = random_unimodular(np.random.default_rng(317), n=2, size=6)
+        d2[2] *= 1.5
+        with pytest.raises(NotUnimodular):
+            embed_sl2(d2)
+        with pytest.raises(NotUnimodular):
+            block_split_check(d2)
+
+    def test_reduced_action_of_stacked_curves_matches_per_curve_calls(self):
+        rng = np.random.default_rng(331)
+        tau = np.linspace(0.0, 1.0, 201)
+        pairs = [random_timelike(rng) for _ in range(12)]
+        x4 = np.stack([np.tile(a, (201, 1)) * (1.0 + 0.2 * tau[:, None]) for a, _ in pairs])
+        spinor = np.stack([np.tile(b, (201, 1)) for _, b in pairs])
+        mass, speed = rng.uniform(0.5, 2.0, size=(2, 12))
+        s_cubic, s_mink = reduced_action_check(tau, x4, spinor, mass, speed)
+        rows = [reduced_action_check(tau, *args) for args in zip(x4, spinor, mass, speed)]
+        assert_allclose(s_cubic, [r[0] for r in rows], rtol=1e-12, atol=0)
+        assert_allclose(s_mink, [r[1] for r in rows], rtol=1e-12, atol=0)
+        assert all(type(v) is float for v in rows[0])
