@@ -28,6 +28,12 @@ EXIT_FAILURE = 1
 EXIT_DOMAIN = 2
 EXIT_USAGE = 64
 
+#: Trajectory rows rendered and written at a time by ``propagate``.
+CHUNK_ROWS = 4096
+
+_CSV_ROW = ",".join(["%.17g"] * 10) + "\n"
+_JSON_ROW = '{"s": %.17g, "x": [' + ", ".join(["%.17g"] * 9) + "]}"
+
 
 class UsageError(Exception):
     pass
@@ -104,21 +110,26 @@ def _read_matrix(args):
     return pairs[..., 0] + 1j * pairs[..., 1]
 
 
-def _trajectory_csv(s_values, points):
-    lines = ["s," + ",".join(f"X{a}" for a in range(9))]
-    for s, x in zip(s_values, points):
-        lines.append(",".join([_fmt(s)] + [_fmt(c) for c in x]))
-    return "\n".join(lines) + "\n"
+def _write_trajectory(handle, fmt, kappa, x0, v0, s_values):
+    """Stream the world line ``x0 + s v0`` to ``handle``, CHUNK_ROWS rows a write.
 
-
-def _trajectory_json(kappa, x0, v0, s_values, points):
-    doc = {
-        "kappa": kappa,
-        "x0": list(x0),
-        "v0": list(v0),
-        "samples": [{"s": s, "x": list(x)} for s, x in zip(s_values, points)],
-    }
-    return _to_json(doc) + "\n"
+    Each chunk is computed, rendered with one ``%.17g`` row template and
+    written before the next, so memory does not grow with the sample count
+    beyond ``s_values`` itself.
+    """
+    if fmt == "csv":
+        handle.write("s," + ",".join(f"X{a}" for a in range(9)) + "\n")
+        row, sep, tail = _CSV_ROW, "", ""
+    else:
+        head = _to_json({"kappa": kappa, "x0": list(x0), "v0": list(v0)})
+        handle.write(head[:-1] + ', "samples": [')
+        row, sep, tail = _JSON_ROW, ", ", "]}\n"
+    for start in range(0, len(s_values), CHUNK_ROWS):
+        s = s_values[start:start + CHUNK_ROWS]
+        rows = np.column_stack([s, x0 + s[:, None] * v0]).tolist()
+        text = sep.join([row % tuple(r) for r in rows])
+        handle.write(sep + text if start else text)
+    handle.write(tail)
 
 
 def _cmd_propagate(args):
@@ -130,12 +141,11 @@ def _cmd_propagate(args):
         raise UsageError("--samples must be at least 1")
     v0 = invert_momenta(momenta, kappa)
     s_values = np.linspace(0.0, s_max, args.samples)
-    points = x0 + s_values[:, None] * v0
-    if args.format == "csv":
-        text = _trajectory_csv(s_values, points)
+    if args.out:
+        with open(args.out, "w") as handle:
+            _write_trajectory(handle, args.format, kappa, x0, v0, s_values)
     else:
-        text = _trajectory_json(kappa, x0, v0, s_values, points)
-    _emit(text, args.out)
+        _write_trajectory(sys.stdout, args.format, kappa, x0, v0, s_values)
     return EXIT_OK
 
 

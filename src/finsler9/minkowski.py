@@ -81,7 +81,7 @@ def lorentz_residual(block):
 
 def _timelike_norm_sq(x4):
     q = minkowski_norm_sq(x4)
-    if np.any(q <= 0.0):
+    if not np.all(q > 0.0):
         raise NonTimelike("the 4-velocity part must satisfy g(v, v) > 0")
     return q
 

@@ -5,6 +5,7 @@ them on passing runs) and enforces both the numeric tolerance and the
 runtime budget of its criterion.
 """
 
+import json
 import subprocess
 import sys
 import time
@@ -260,3 +261,25 @@ def test_13_invariant_suite_runtime():
     ok = len(report) == 27 and all_passed(report)
     verdict("13 invariant suite, 27 checks at 500 trials", ok,
             time.perf_counter() - start, 1.0)
+
+
+def test_14_propagate_runtime(tmp_path):
+    for fmt in ("csv", "json"):
+        path = tmp_path / f"trajectory.{fmt}"
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "finsler9", "propagate", "--format", fmt,
+             "--x0", *(["0"] * 9), "--momenta", *DIAG_MOMENTA,
+             "--s-max", "1", "--samples", "100000", "--out", str(path)],
+            capture_output=True, text=True,
+        )
+        elapsed = time.perf_counter() - start
+        text = path.read_text()
+        if fmt == "csv":
+            rows = text.splitlines()
+            ok = len(rows) == 100001 and rows[-1] == "1,1,0,0,0,0,0,0,0,1"
+        else:
+            samples = json.loads(text)["samples"]
+            ok = len(samples) == 100000 and samples[-1] == {"s": 1, "x": [1] + [0] * 7 + [1]}
+        verdict(f"14 propagate, 100000 samples as {fmt.upper()}",
+                proc.returncode == 0 and ok, elapsed, 2.0)

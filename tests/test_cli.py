@@ -3,12 +3,13 @@
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from finsler9 import canonical_momenta, cubic_form, unit_speed_velocity
-from finsler9.cli import main
+from finsler9 import canonical_momenta, cubic_form, invert_momenta, unit_speed_velocity
+from finsler9.cli import CHUNK_ROWS, _fmt, _to_json, main
 
 DIAG_MOMENTA = ["-0.6666666666666666", "0", "0", "0", "0", "0", "0", "0",
                 "-0.3333333333333333"]
@@ -23,6 +24,16 @@ def run(argv, capsys):
 
 def fmt17(x):
     return format(float(x), ".17g")
+
+
+def assert_same_text(got, expected):
+    # a short message: pytest's own diff of megabyte strings takes minutes
+    if got != expected:
+        at = next((i for i, (a, b) in enumerate(zip(got, expected)) if a != b),
+                  min(len(got), len(expected)))
+        near = slice(max(at - 40, 0), at + 40)
+        pytest.fail(f"texts of {len(got)} and {len(expected)} chars differ at {at}: "
+                    f"{got[near]!r} != {expected[near]!r}")
 
 
 class TestPropagate:
@@ -151,6 +162,102 @@ class TestPropagate:
         doc = json.loads(paths[0].read_text())
         assert list(doc) == ["kappa", "x0", "v0", "samples"]
         assert list(doc["samples"][0]) == ["s", "x"]
+
+
+def trajectory_csv(s_values, points):
+    """Whole-document CSV renderer the streamed writer replaced."""
+    lines = ["s," + ",".join(f"X{a}" for a in range(9))]
+    for s, x in zip(s_values, points):
+        lines.append(",".join([_fmt(s)] + [_fmt(c) for c in x]))
+    return "\n".join(lines) + "\n"
+
+
+def trajectory_json(kappa, x0, v0, s_values, points):
+    """Whole-document JSON renderer the streamed writer replaced."""
+    doc = {
+        "kappa": kappa,
+        "x0": list(x0),
+        "v0": list(v0),
+        "samples": [{"s": s, "x": list(x)} for s, x in zip(s_values, points)],
+    }
+    return _to_json(doc) + "\n"
+
+
+class TestStreamedTrajectory:
+    # -0 at s = 0 where the velocity component is negative, |values| >= 1e16
+    # in x0 and along s, and a subnormal
+    X0 = ["-0", "30000000000000000", "-123456789012345678901", "5e-324", "0.1",
+          "-0.7", "2", "-3.5", "100000000000000000"]
+    S_MAX = "3e16"
+    KAPPA = "-1.5"
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        rng = np.random.default_rng(347)
+        momenta = canonical_momenta(unit_speed_velocity(rng), float(self.KAPPA))
+        argv = ["propagate", "--kappa", self.KAPPA, "--x0", *self.X0,
+                "--momenta", *[fmt17(v) for v in momenta], "--s-max", self.S_MAX]
+        x0 = np.array([float(v) for v in self.X0])
+        v0 = invert_momenta(momenta, float(self.KAPPA))
+        assert (v0 < 0).any() and (v0 > 0).any()
+        return argv, x0, v0
+
+    def oracle(self, case, fmt, samples):
+        _, x0, v0 = case
+        s_values = np.linspace(0.0, float(self.S_MAX), samples)
+        points = x0 + s_values[:, None] * v0
+        if fmt == "csv":
+            return trajectory_csv(s_values, points)
+        return trajectory_json(float(self.KAPPA), x0, v0, s_values, points)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("samples", [1, 2, CHUNK_ROWS - 1, CHUNK_ROWS,
+                                         CHUNK_ROWS + 1, 20000])
+    def test_bytes_match_whole_document_oracle(self, case, fmt, samples, capsys,
+                                               tmp_path):
+        expected = self.oracle(case, fmt, samples)
+        argv = case[0] + ["--samples", str(samples), "--format", fmt]
+        code, out, err = run(argv, capsys)
+        assert (code, err) == (0, "")
+        assert_same_text(out, expected)
+        path = tmp_path / f"traj.{fmt}"
+        code, out, _ = run(argv + ["--out", str(path)], capsys)
+        assert (code, out) == (0, "")
+        assert_same_text(path.read_bytes().decode(), expected)
+
+    def test_signed_zero_and_large_values_are_rendered(self, case, capsys):
+        code, out, _ = run(case[0] + ["--samples", "2"], capsys)
+        assert code == 0
+        first, last = out.splitlines()[1:]
+        assert first.startswith("0,-0,30000000000000000,-1.2345678901234568e+20,")
+        assert last.startswith("30000000000000000,")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_no_write_holds_more_than_one_chunk(self, case, fmt, monkeypatch):
+        writes = []
+        monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+        samples = 3 * CHUNK_ROWS + 5
+        assert main(case[0] + ["--samples", str(samples), "--format", fmt]) == 0
+        assert_same_text("".join(writes), self.oracle(case, fmt, samples))
+        marker = "\n" if fmt == "csv" else '{"s": '
+        rows = [text.count(marker) for text in writes]
+        assert max(rows) <= CHUNK_ROWS
+        assert sum(rows) == samples + (fmt == "csv")
+
+    @pytest.mark.parametrize("flags, expected_code", [
+        (["--momenta", *ZEROS9, "--samples", "3"], 2),
+        (["--momenta", *DIAG_MOMENTA, "--samples", "3", "--kappa", "0"], 64),
+        (["--momenta", *DIAG_MOMENTA, "--samples", "0"], 64),
+    ])
+    def test_failed_checks_leave_no_output_file(self, flags, expected_code, capsys,
+                                                tmp_path):
+        path = tmp_path / "never.csv"
+        code, out, err = run(["propagate", "--x0", *ZEROS9, "--s-max", "1", *flags,
+                              "--out", str(path)], capsys)
+        assert code == expected_code
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert not path.exists()
 
 
 class TestInvert:

@@ -162,6 +162,18 @@ class TestConstraint:
         with pytest.raises(NonTimelike):
             constraint_residual(xdot)
 
+    def test_rejects_nan_velocity(self):
+        with pytest.raises(NonTimelike):
+            constraint_residual(np.full(9, np.nan))
+
+    def test_rejects_stack_with_one_nan_row(self):
+        xdot = np.zeros((5, 9))
+        xdot[:, 0] = xdot[:, 8] = 1.0
+        assert np.array_equal(constraint_residual(xdot), np.zeros(5))
+        xdot[3, 2] = np.nan
+        with pytest.raises(NonTimelike):
+            constraint_residual(xdot)
+
 
 class TestSolveNinthVelocity:
     def test_rest_velocity(self):
@@ -201,6 +213,18 @@ class TestSolveNinthVelocity:
     def test_rejects_null_part(self):
         with pytest.raises(NonTimelike):
             solve_x8dot([1.0, 1.0, 0.0, 0.0], np.zeros(4))
+
+    def test_rejects_nan_four_velocity(self):
+        with pytest.raises(NonTimelike):
+            solve_x8dot(np.full(4, np.nan), np.zeros(4))
+
+    def test_rejects_stack_with_one_nan_row(self):
+        x4 = np.zeros((5, 4))
+        x4[:, 0] = 1.0
+        assert np.array_equal(solve_x8dot(x4, np.zeros(4)), np.ones(5))
+        x4[1, 0] = np.nan
+        with pytest.raises(NonTimelike):
+            solve_x8dot(x4, np.zeros(4))
 
     def test_constraint_is_lorentz_invariant(self):
         rng = np.random.default_rng(263)
