@@ -22,12 +22,12 @@ print("x              =", np.array2string(x, precision=4))
 print("cubic form     =", cubic_form(x))
 print("det of matrix  =", np.linalg.det(vec_to_matrix(x)).real)
 
-# The symmetric coefficient table behind the polynomial: 16 stored triples,
-# all equal to +-1/3.
+# The symmetric tensor behind the polynomial, the polarisation of the
+# determinant: 16 nonzero non-decreasing triples, all equal to +-1/3.
 g = metric_coefficients()
-print("\nstored coefficient triples:", len(g.triples()))
+print("\nnonzero coefficient triples:", len(g.triples()))
 print("G(0,0,8) =", g.coefficient(0, 0, 8), "  G(1,4,6) =", g.coefficient(1, 4, 6))
-print("sparse contraction minus polynomial:", g.contract(x) - cubic_form(x))
+print("contraction minus polynomial:", g.contract(x) - cubic_form(x))
 
 # A random determinant-1 complex matrix acts linearly on the 9-space and
 # leaves the cubic form alone.

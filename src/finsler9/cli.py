@@ -13,6 +13,8 @@ error), 64 (usage).
 """
 
 import argparse
+import contextlib
+import re
 import sys
 
 import numpy as np
@@ -44,6 +46,14 @@ class MalformedInput(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's ``_negative_number_matcher`` tells negative values from
+        # option names; accept an exponent too, so that the CLI reads back
+        # its own ``%.17g`` output such as -1e-05.
+        self._negative_number_matcher = re.compile(
+            r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
+
     def error(self, message):  # exit 64 instead of argparse's default 2
         raise UsageError(message)
 
@@ -86,12 +96,23 @@ def _parse_kappa(token):
     return kappa
 
 
+@contextlib.contextmanager
+def _output(out):
+    """The ``--out`` file opened for writing, or stdout when none is given."""
+    if not out:
+        yield sys.stdout
+        return
+    try:
+        handle = open(out, "w")
+    except OSError as exc:
+        raise MalformedInput(f"--out: {exc}") from None
+    with handle:
+        yield handle
+
+
 def _emit(text, out):
-    if out:
-        with open(out, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(out) as handle:
+        handle.write(text)
 
 
 def _read_matrix(args):
@@ -141,11 +162,8 @@ def _cmd_propagate(args):
         raise UsageError("--samples must be at least 1")
     v0 = invert_momenta(momenta, kappa)
     s_values = np.linspace(0.0, s_max, args.samples)
-    if args.out:
-        with open(args.out, "w") as handle:
-            _write_trajectory(handle, args.format, kappa, x0, v0, s_values)
-    else:
-        _write_trajectory(sys.stdout, args.format, kappa, x0, v0, s_values)
+    with _output(args.out) as handle:
+        _write_trajectory(handle, args.format, kappa, x0, v0, s_values)
     return EXIT_OK
 
 

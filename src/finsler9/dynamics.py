@@ -225,7 +225,9 @@ def transform_momenta(transform, p):
 
 def _require_unit_speed(v0):
     v0 = np.asarray(v0, dtype=float)
-    gap = abs(np.linalg.det(vec_to_matrix(v0)).real - 1.0)
+    if v0.shape != (9,):
+        raise ValueError(f"expected one 9-vector, got shape {v0.shape}")
+    gap = abs(cubic_form(v0) - 1.0)
     if not gap <= UNIT_SPEED_TOL:
         raise NotUnitSpeed(f"|det - 1| = {gap:.3e} exceeds {UNIT_SPEED_TOL:.1e}")
     return v0

@@ -9,6 +9,8 @@ determinant of the matrix -- and hence the cubic norm -- is preserved, which
 realizes SL(3, C) as the symmetry group of the geometry.
 """
 
+import itertools
+
 import numpy as np
 
 from .exceptions import NonRealEntry, NotHermitian, NotUnimodular
@@ -56,78 +58,63 @@ def cubic_form(x):
 
 
 class CubicMetric:
-    """Sparse fully symmetric rank-3 coefficient table.
+    """Fully symmetric rank-3 coefficient tensor on the 9-space.
 
-    Coefficients are stored once per non-decreasing index triple
-    ``(a, b, c)`` with ``a <= b <= c``; zero coefficients are never stored.
-    Contraction multiplies each stored monomial by the number of distinct
-    permutations of its triple, so ``contract`` equals the dense triple sum.
+    Built from its coefficients at non-decreasing index triples
+    ``(a, b, c)`` with ``0 <= a <= b <= c <= 8``; every other index order
+    reads the entry of its sorted triple.  The tensor is held as one
+    read-only dense ``(9, 9, 9)`` array.
     """
 
     def __init__(self, coefficients):
-        self._coeff = {}
-        for triple, value in coefficients.items():
-            if tuple(sorted(triple)) != tuple(triple):
-                raise ValueError(f"triple {triple} is not non-decreasing")
-            if value != 0.0:
-                self._coeff[tuple(triple)] = float(value)
-
-    @staticmethod
-    def _multiplicity(triple):
-        a, b, c = triple
-        if a == b == c:
-            return 1
-        if a == b or b == c:
-            return 3
-        return 6
+        table = np.zeros((9, 9, 9))
+        for (a, b, c), value in coefficients.items():
+            if not 0 <= a <= b <= c <= 8:
+                raise ValueError(f"triple {(a, b, c)} is not non-decreasing in 0..8")
+            table[a, b, c] = value
+        self._dense = table[tuple(np.sort(np.indices(table.shape), axis=0))]
+        self._dense.setflags(write=False)
 
     def coefficient(self, a, b, c):
         """Value of the symmetric tensor at any index order (0 if absent)."""
-        return self._coeff.get(tuple(sorted((a, b, c))), 0.0)
+        return float(self._dense[a, b, c])
 
     def triples(self):
-        """Stored (non-decreasing triple, coefficient) pairs."""
-        return dict(self._coeff)
+        """Nonzero (non-decreasing triple, coefficient) pairs."""
+        return _sorted_entries(self._dense)
 
     def contract(self, x):
         """Triple contraction with a 9-vector; equals :func:`cubic_form`."""
         x = np.asarray(x, dtype=float)
-        total = 0.0
-        for (a, b, c), g in self._coeff.items():
-            total = total + self._multiplicity((a, b, c)) * g * (
-                x[..., a] * x[..., b] * x[..., c]
-            )
-        return total
+        return np.einsum("abc,...a,...b,...c->...", self._dense, x, x, x)
 
     def as_dense(self):
-        """Dense symmetric (9, 9, 9) array with every permutation filled in."""
-        dense = np.zeros((9, 9, 9))
-        for (a, b, c), g in self._coeff.items():
-            for i, j, k in {(a, b, c), (a, c, b), (b, a, c),
-                            (b, c, a), (c, a, b), (c, b, a)}:
-                dense[i, j, k] = g
-        return dense
+        """Dense symmetric (9, 9, 9) array (a writable copy)."""
+        return self._dense.copy()
 
 
-# Monomials of the cubic norm: (triple, coefficient in the expanded polynomial).
-_MONOMIALS = [
-    ((0, 0, 8), 1.0), ((1, 1, 8), -1.0), ((2, 2, 8), -1.0), ((3, 3, 8), -1.0),
-    ((0, 4, 4), -1.0), ((0, 5, 5), -1.0), ((0, 6, 6), -1.0), ((0, 7, 7), -1.0),
-    ((1, 4, 6), 2.0), ((1, 5, 7), 2.0), ((2, 5, 6), 2.0), ((2, 4, 7), -2.0),
-    ((3, 4, 4), 1.0), ((3, 5, 5), 1.0), ((3, 6, 6), -1.0), ((3, 7, 7), -1.0),
-]
+def _sorted_entries(dense):
+    """Nonzero entries of a (9, 9, 9) array at non-decreasing index triples."""
+    return {triple: float(dense[triple])
+            for triple in itertools.combinations_with_replacement(range(9), 3)
+            if dense[triple]}
 
 
 def metric_coefficients():
     """Symmetric tensor whose triple contraction reproduces :func:`cubic_form`.
 
-    Each monomial coefficient of the cubic polynomial is divided by the
-    number of distinct permutations of its index triple.
+    The tensor is the polarisation of the determinant in the Hermitian
+    basis, ``G_abc = Re(eps_ijk eps_lmn lam[a]_il lam[b]_jm lam[c]_kn) / 6``.
+    The basis entries are 0, +-1 and +-i, so every sum is an exact Gaussian
+    integer and each nonzero coefficient is the correctly rounded +-1/3.
     """
-    table = {}
-    for triple, coeff in _MONOMIALS:
-        table[triple] = coeff / CubicMetric._multiplicity(triple)
-    return CubicMetric(table)
+    eps = np.zeros((3, 3, 3))
+    eps[[0, 1, 2], [1, 2, 0], [2, 0, 1]] = 1.0
+    eps[[0, 2, 1], [2, 1, 0], [1, 0, 2]] = -1.0
+    lam = LAMBDA_MATRICES
+    dense = np.einsum("ijk,lmn,ail,bjm,ckn->abc", eps, eps, lam, lam, lam,
+                      optimize=True).real / 6.0
+    return CubicMetric(_sorted_entries(dense))
 
 
 def vec_to_matrix(x):

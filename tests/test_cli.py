@@ -475,6 +475,51 @@ class TestCheck:
         assert code == 64
 
 
+class TestOutPath:
+    @pytest.mark.parametrize("argv", [
+        ["propagate", "--x0", *ZEROS9, "--momenta", *DIAG_MOMENTA,
+         "--s-max", "1", "--samples", "3"],
+        ["invert", "--momenta", *DIAG_MOMENTA],
+        ["check", "--trials", "5"],
+    ], ids=["propagate", "invert", "check"])
+    def test_unopenable_out_path_is_malformed_input(self, argv, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.csv"
+        code, out, err = run(argv + ["--out", str(path)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("MalformedInput: --out:")
+        assert len(err.strip().splitlines()) == 1
+
+
+class TestNegativeNumbers:
+    def test_propagate_reads_exponent_form_negatives(self, capsys):
+        x0 = ["-1e-05", "-1.2345678901234568e+20", *ZEROS9[2:]]
+        code, out, err = run(["propagate", "--x0", *x0, "--momenta", *DIAG_MOMENTA,
+                              "--s-max", "-2.5e-01", "--samples", "2"], capsys)
+        assert (code, err) == (0, "")
+        first, last = out.splitlines()[1:]
+        assert [float(v) for v in first.split(",")[1:]] == [float(v) for v in x0]
+        assert float(last.split(",")[0]) == -0.25
+
+    def test_invert_reads_exponent_form_negatives(self, capsys):
+        momenta = ["-6.6666666666666663e-01", *ZEROS9[:7], "-3.3333333333333331e-01"]
+        code, out, err = run(["invert", "--momenta", *momenta], capsys)
+        assert (code, err) == (0, "")
+        assert out.endswith("1,0,0,0,0,0,0,0,1,1\n")
+
+    def test_small_exponent_negative_is_not_a_usage_error(self, capsys):
+        momenta = [DIAG_MOMENTA[0], "-1e-05", *ZEROS9[:6], DIAG_MOMENTA[8]]
+        code, _, err = run(["invert", "--momenta", *momenta], capsys)
+        assert code in (0, 2)
+        assert not err.startswith("Usage:")
+
+    @pytest.mark.parametrize("token", ["-inf", "-nan", "-1x"])
+    def test_non_numeric_dash_tokens_stay_usage_errors(self, token, capsys):
+        code, _, err = run(["invert", "--momenta", *DIAG_MOMENTA[:8], token], capsys)
+        assert code == 64
+        assert err.startswith("Usage:")
+
+
 class TestTopLevel:
     def test_missing_subcommand_is_usage_error(self, capsys):
         code, _, err = run([], capsys)

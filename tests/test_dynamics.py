@@ -366,6 +366,12 @@ class TestGeneralSolution:
         with pytest.raises(NotUnitSpeed):
             Trajectory(np.zeros(9), 2 * DIAG)
 
+    @pytest.mark.parametrize("v0", [np.append(DIAG, 0.0), DIAG[:8], np.stack([DIAG, DIAG])],
+                             ids=["ten", "eight", "stack"])
+    def test_rejects_a_velocity_that_is_not_one_9_vector(self, v0):
+        with pytest.raises(ValueError, match="9-vector"):
+            Trajectory(np.zeros(9), v0)
+
     def test_trajectory_accepts_negative_final_arc_length(self):
         traj = Trajectory(np.zeros(9), DIAG, s_range=(0.0, -2.0))
         s, points = traj.sample(5)

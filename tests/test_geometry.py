@@ -1,5 +1,7 @@
 """Tests for the cubic norm, the matrix basis, and the symmetry action."""
 
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,6 +9,7 @@ from numpy.testing import assert_allclose
 from finsler9 import (
     LAMBDA_DUAL,
     LAMBDA_MATRICES,
+    CubicMetric,
     NotHermitian,
     NotUnimodular,
     conjugation_action,
@@ -27,6 +30,22 @@ GELL_MANN = [
     np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex),
     np.array([[0, 0, 0], [0, 0, -1j], [0, 1j, 0]]),
 ]
+
+
+# Monomials of the cubic norm, typed from the expanded polynomial:
+# (triple, coefficient).  The library derives its tensor from the basis, so
+# this table is an independent oracle for it.
+_MONOMIALS = [
+    ((0, 0, 8), 1.0), ((1, 1, 8), -1.0), ((2, 2, 8), -1.0), ((3, 3, 8), -1.0),
+    ((0, 4, 4), -1.0), ((0, 5, 5), -1.0), ((0, 6, 6), -1.0), ((0, 7, 7), -1.0),
+    ((1, 4, 6), 2.0), ((1, 5, 7), 2.0), ((2, 5, 6), 2.0), ((2, 4, 7), -2.0),
+    ((3, 4, 4), 1.0), ((3, 5, 5), 1.0), ((3, 6, 6), -1.0), ((3, 7, 7), -1.0),
+]
+
+
+def multiplicity(triple):
+    """Number of distinct permutations of an index triple."""
+    return len(set(itertools.permutations(triple)))
 
 
 def e(a):
@@ -121,6 +140,30 @@ class TestMetricCoefficients:
         dense = metric_coefficients().as_dense()
         for axes in [(0, 2, 1), (1, 0, 2), (2, 1, 0)]:
             assert np.array_equal(dense, dense.transpose(axes))
+
+    def test_triples_equal_monomial_oracle(self):
+        expected = {triple: coeff / multiplicity(triple) for triple, coeff in _MONOMIALS}
+        assert metric_coefficients().triples() == expected
+
+    def test_dense_equals_monomial_oracle_on_all_729_entries(self):
+        oracle = np.zeros((9, 9, 9))
+        for triple, coeff in _MONOMIALS:
+            for index in itertools.permutations(triple):
+                oracle[index] = coeff / multiplicity(triple)
+        assert np.array_equal(metric_coefficients().as_dense(), oracle)
+
+    def test_constructor_fills_every_index_order(self):
+        g = CubicMetric({(0, 1, 2): 0.5, (3, 3, 3): 0.0})
+        assert g.triples() == {(0, 1, 2): 0.5}
+        assert g.coefficient(2, 0, 1) == 0.5
+        assert g.contract(e(0) + e(1) + e(2)) == 3.0
+        g.as_dense()[0, 1, 2] = 7.0  # a copy: the tensor stays as built
+        assert g.coefficient(0, 1, 2) == 0.5
+
+    @pytest.mark.parametrize("triple", [(8, 0, 0), (-1, 0, 0), (0, 0, 9)])
+    def test_constructor_rejects_unsorted_or_out_of_range_triple(self, triple):
+        with pytest.raises(ValueError, match="non-decreasing"):
+            CubicMetric({triple: 1.0})
 
 
 class TestVectorMatrixIsomorphism:
