@@ -32,12 +32,13 @@ print("constraint residual:", momentum_constraint_residual(p))
 print("canonical energy   :", canonical_energy(v), "(identically zero)")
 print("matrix identity residual:", matrix_identity_residual(v))
 
-# Inverting the momenta through the nine 2x2 cofactor determinants returns
-# the velocity; a generic LU inverse agrees with the closed form.
+# Inverting the momenta through the same quadratic map that produced them
+# (the adjugate of the momentum matrix) returns the velocity; a generic LU
+# inverse agrees with the closed form.
 back = invert_momenta(p, method="adjugate")
 alt = invert_momenta(p, method="inverse")
-print("\nround-trip error (cofactors):", np.abs(back - v).max())
-print("cofactors vs generic inverse:", np.abs(back - alt).max())
+print("\nround-trip error (adjugate):", np.abs(back - v).max())
+print("adjugate vs generic inverse:", np.abs(back - alt).max())
 
 # Momenta off the constraint surface are rejected, not silently projected.
 bad = p.copy()

@@ -198,9 +198,11 @@ def _chk_adjugate_vs_inverse(rng, trials):
 
 
 def _chk_inverse_hermiticity(rng, trials):
+    """The LU velocity matrix ``c N^-1`` is Hermitian before symmetrisation."""
     p = canonical_momenta(unit_speed_velocity(rng, size=trials))
-    raw = dynamics._cofactor_inverse_scaled(momenta_matrix(p))
-    return _max_entry(raw - np.conj(np.swapaxes(raw, -1, -2)), (-2, -1))
+    raw = (2.0 * DEFAULT_KAPPA / 3.0) * np.linalg.inv(momenta_matrix(p))
+    return (_max_entry(raw - np.conj(np.swapaxes(raw, -1, -2)), (-2, -1))
+            / _max_entry(raw, (-2, -1)))
 
 
 def _chk_stationarity(rng, trials):

@@ -4,10 +4,11 @@ The action of a free particle is proportional to the cubic-norm length of
 its world line, with a single coupling constant ``kappa``.  The Lagrangian
 is homogeneous of degree one in the velocities, so the canonical momenta
 are constants of motion, the canonical energy vanishes identically, and the
-world lines are straight.  The momenta are the scaled adjugate of the
-Hermitian velocity matrix, and the closed-form inversion of the nine
-momenta back to the nine velocities is the adjugate of the momentum matrix;
-both go through one broadcasting adjugate kernel.
+world lines are straight.  The momenta are the scaled gradient
+``3 G(xdot, xdot, .)`` of the cubic form (the sharp map: the adjugate of
+the velocity matrix, read in the basis), and their closed-form inversion
+is the same map at ``D p``, ``D = diag(1, ..., 1, 2)``; both run through
+one broadcasting kernel in real arithmetic.
 """
 
 from dataclasses import dataclass
@@ -25,8 +26,10 @@ from .exceptions import (
 )
 from .geometry import (
     LAMBDA_DUAL,
-    LAMBDA_MATRICES,
+    _DUAL_SCALE,
+    _cubic_gradient,
     _rejection_sample,
+    _vectors,
     cubic_form,
     matrix_to_vec,
     vec_to_matrix,
@@ -79,16 +82,13 @@ def canonical_momenta(xdot, kappa=DEFAULT_KAPPA):
     Each component is ``kappa/3`` times the gradient of the cubic form
     divided by its 2/3 power, the latter computed as the squared real cube
     root so the result is well defined on negative cubic forms too.  The
-    gradient is ``tr(lambda_a adj X)`` for the velocity matrix ``X``.  The
-    result is invariant under any nonzero rescaling of ``xdot`` and
-    broadcasts over leading axes.
+    gradient is the sharp map ``3 G(xdot, xdot, .)``, ``tr(lambda_a adj X)``
+    for the velocity matrix ``X``.  The result is invariant under any
+    nonzero rescaling of ``xdot`` and broadcasts over leading axes.
     """
     kappa = _check_kappa(kappa)
-    xdot = np.asarray(xdot, dtype=float)
     f = _nonisotropic_form(xdot)
-    adj = _cofactor_inverse_scaled(vec_to_matrix(xdot))
-    gradient = np.einsum("aij,...ji->...a", LAMBDA_MATRICES, adj).real
-    return (kappa / 3.0) * gradient / (np.cbrt(f) ** 2)[..., None]
+    return (kappa / 3.0) * _cubic_gradient(xdot) / (np.cbrt(f) ** 2)[..., None]
 
 
 def canonical_energy(xdot, kappa=DEFAULT_KAPPA):
@@ -102,9 +102,10 @@ def momenta_matrix(p):
     """Hermitian 3x3 matrix of a 9-tuple of momenta.
 
     Mirrors :func:`finsler9.geometry.vec_to_matrix` in the dual basis, whose
-    doubled lower-right corner belongs to the ninth momentum.
+    doubled lower-right corner belongs to the ninth momentum, so it equals
+    ``vec_to_matrix(D p)`` with ``D = diag(1, ..., 1, 2)``.
     """
-    p = np.asarray(p, dtype=float)
+    p = _vectors(p)
     return np.einsum("...a,aij->...ij", p, LAMBDA_DUAL)
 
 
@@ -136,7 +137,8 @@ def momentum_constraint_residual(p, kappa=DEFAULT_KAPPA):
     """
     kappa = _check_kappa(kappa)
     p = np.asarray(p, dtype=float)
-    det = np.linalg.det(momenta_matrix(p))
+    with np.errstate(invalid="ignore"):  # NaN rows fail admission in invert_momenta
+        det = np.linalg.det(momenta_matrix(p))
     scale = np.maximum(1.0, np.linalg.norm(p, axis=-1) ** 3)
     excess = np.abs(det.imag) - 1e-12 * scale
     if np.any(excess > 0):
@@ -144,23 +146,6 @@ def momentum_constraint_residual(p, kappa=DEFAULT_KAPPA):
         raise NonRealEntry(f"determinant imaginary part {worst:.3e}")
     residual = det.real - (2.0 * kappa / 3.0) ** 3
     return float(residual) if residual.ndim == 0 else residual
-
-
-#: Cyclic successors and predecessors of the row/column indices 0, 1, 2.
-_NEXT = np.array([1, 2, 0])
-_PREV = np.array([2, 0, 1])
-
-
-def _cofactor_inverse_scaled(n):
-    """Adjugate of 3x3 matrices, ``adj(n) @ n = det(n) I``; shape ``(..., 3, 3)``.
-
-    Cofactor ``(i, j)`` is the 2x2 determinant of rows ``i+1, i+2`` and
-    columns ``j+1, j+2`` taken cyclically, which carries its sign.
-    """
-    rows1, rows2 = n[..., _NEXT, :], n[..., _PREV, :]  # rows i+1 and i+2
-    cofactor = (rows1[..., _NEXT] * rows2[..., _PREV]
-                - rows1[..., _PREV] * rows2[..., _NEXT])
-    return np.swapaxes(cofactor, -1, -2)
 
 
 def invert_momenta(p, kappa=DEFAULT_KAPPA, method="adjugate"):
@@ -175,10 +160,11 @@ def invert_momenta(p, kappa=DEFAULT_KAPPA, method="adjugate"):
     kappa : float
         Coupling constant, nonzero.
     method : {"adjugate", "inverse"}
-        "adjugate" takes the adjugate of the momentum matrix, using the
-        constraint to substitute the exact determinant value.  "inverse"
-        goes through a generic LU inverse and exists as an independent
-        cross-check of the closed form.
+        "adjugate" takes the adjugate of the momentum matrix, the sharp
+        map ``G(Dp, Dp, .)`` in real arithmetic, using the constraint to
+        substitute the exact determinant value.  "inverse" goes through a
+        generic LU inverse and exists as an independent cross-check of the
+        closed form.
 
     Returns
     -------
@@ -194,22 +180,20 @@ def invert_momenta(p, kappa=DEFAULT_KAPPA, method="adjugate"):
     if not np.all(np.abs(residual) <= admitted):  # NaN fails too
         worst = residual.flat[np.argmax(np.abs(residual))]
         raise InconsistentMomenta(f"residual {worst:.6e} exceeds {admitted:.3e}")
-    n = momenta_matrix(p)
     norm3 = np.linalg.norm(p, axis=-1) ** 3
     if not np.all(abs(c) ** 3 >= SINGULARITY_TOL * norm3):
         raise SingularMomentumMatrix(
             f"|det| = {abs(c) ** 3:.3e} below {SINGULARITY_TOL:.0e} * |P|^3"
         )
     if method == "adjugate":
-        # adj(N)/det(N) with det pinned to (2k/3)^3 by the constraint; one
-        # factor of 2k/3 cancels against the velocity-matrix prefactor.
-        vmat = _cofactor_inverse_scaled(n) / c**2
-    elif method == "inverse":
-        vmat = c * np.linalg.inv(n)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    vmat = 0.5 * (vmat + np.conj(np.swapaxes(vmat, -1, -2)))
-    return matrix_to_vec(vmat)
+        # The velocity matrix is c N^-1 = adj(N) / c^2, with det N pinned to
+        # c^3 by the constraint.  N = vec_to_matrix(D p), so component a of
+        # adj(N) in the basis is 0.5 tr(dual_a adj N) = 0.5 D_a grad(D p)_a.
+        return 0.5 * _DUAL_SCALE * _cubic_gradient(_DUAL_SCALE * p) / c**2
+    if method == "inverse":
+        vmat = c * np.linalg.inv(momenta_matrix(p))
+        return matrix_to_vec(0.5 * (vmat + np.conj(np.swapaxes(vmat, -1, -2))))
+    raise ValueError(f"unknown method {method!r}")
 
 
 def transform_momenta(transform, p):
@@ -314,10 +298,15 @@ def reparametrize(traj, s_of_tau, tau):
 
 
 def discrete_action(tau, positions, kappa=DEFAULT_KAPPA):
-    """Trapezoid action of a sampled curve with finite-difference velocities."""
+    """Trapezoid action of a sampled curve with finite-difference velocities.
+
+    ``positions`` has shape ``(..., samples, 9)``; the result has shape
+    ``(...)``, one action per curve (a float for a single curve).
+    """
     tau = np.asarray(tau, dtype=float)
-    vel = np.gradient(np.asarray(positions, dtype=float), tau, axis=0)
-    return float(np.trapezoid(lagrangian(vel, kappa), tau))
+    vel = np.gradient(np.asarray(positions, dtype=float), tau, axis=-2)
+    action = np.trapezoid(lagrangian(vel, kappa), tau)
+    return float(action) if action.ndim == 0 else action
 
 
 def action_stationarity_check(traj, eta, amplitudes, kappa=DEFAULT_KAPPA, samples=201):
@@ -325,8 +314,10 @@ def action_stationarity_check(traj, eta, amplitudes, kappa=DEFAULT_KAPPA, sample
 
     The trajectory is sampled on a uniform grid of at least 200 points,
     perturbed by ``eps * eta`` for each amplitude, and the discretized
-    action recomputed.  Because straight lines make the action stationary,
-    ``log |S(eps) - S(0)|`` against ``log eps`` must fit a slope of 2.
+    action of the base curve and of every perturbed one computed as one
+    ``(len(amplitudes) + 1, samples, 9)`` stack.  Because straight lines
+    make the action stationary, ``log |S(eps) - S(0)|`` against
+    ``log eps`` must fit a slope of 2.
 
     ``eta`` is a callable ``tau -> (9,)`` or an aligned ``(samples, 9)``
     array vanishing at both ends.  Raises :class:`IsotropicVelocity` when a
@@ -344,9 +335,9 @@ def action_stationarity_check(traj, eta, amplitudes, kappa=DEFAULT_KAPPA, sample
         raise ValueError("eta samples must have shape (samples, 9)")
     if np.abs(bump[0]).max() > 1e-12 or np.abs(bump[-1]).max() > 1e-12:
         raise ValueError("eta must vanish at both endpoints")
-    s0 = discrete_action(tau, base, kappa)
-    gaps = np.array([abs(discrete_action(tau, base + e * bump, kappa) - s0)
-                     for e in amplitudes])
+    curves = np.concatenate([base[None], base + amplitudes[:, None, None] * bump])
+    actions = discrete_action(tau, curves, kappa)
+    gaps = np.abs(actions[1:] - actions[0])
     if np.any(gaps == 0.0):
         raise ValueError("perturbation produced no action change; cannot fit")
     slope, _ = np.polyfit(np.log(amplitudes), np.log(gaps), 1)

@@ -43,10 +43,21 @@ def _basis():
 #: ``LAMBDA_MATRICES[1:8]`` are the Gell-Mann matrices.
 LAMBDA_MATRICES, LAMBDA_DUAL = _basis()
 
+#: ``LAMBDA_DUAL[a] == _DUAL_SCALE[a] * LAMBDA_MATRICES[a]``.
+_DUAL_SCALE = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0])
+
+
+def _vectors(x):
+    """``x`` as a float ``(..., 9)`` array, or ValueError naming its shape."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (9,):
+        raise ValueError(f"expected 9-vectors of shape (..., 9), got shape {x.shape}")
+    return x
+
 
 def cubic_form(x):
     """Cubic norm ``|X|^3`` of a 9-vector (broadcasts over leading axes)."""
-    x = np.asarray(x, dtype=float)
+    x = _vectors(x)
     x0, x1, x2, x3, x4, x5, x6, x7, x8 = (x[..., a] for a in range(9))
     return (
         (x0**2 - x1**2 - x2**2 - x3**2) * x8
@@ -100,11 +111,9 @@ def _sorted_entries(dense):
             if dense[triple]}
 
 
-def metric_coefficients():
-    """Symmetric tensor whose triple contraction reproduces :func:`cubic_form`.
+def _polarised_determinant():
+    """``G_abc = Re(eps_ijk eps_lmn lam[a]_il lam[b]_jm lam[c]_kn) / 6``.
 
-    The tensor is the polarisation of the determinant in the Hermitian
-    basis, ``G_abc = Re(eps_ijk eps_lmn lam[a]_il lam[b]_jm lam[c]_kn) / 6``.
     The basis entries are 0, +-1 and +-i, so every sum is an exact Gaussian
     integer and each nonzero coefficient is the correctly rounded +-1/3.
     """
@@ -117,12 +126,31 @@ def metric_coefficients():
     return CubicMetric(_sorted_entries(dense))
 
 
+#: The paper's cubic metric tensor ``G_abc``, the polarisation of the
+#: determinant in the Hermitian basis, built once at import.
+G = _polarised_determinant()
+
+
+def metric_coefficients():
+    """Symmetric tensor whose triple contraction reproduces :func:`cubic_form`."""
+    return G
+
+
+def _cubic_gradient(x):
+    """Gradient ``3 G(x, x, .)`` of :func:`cubic_form`, shape ``(..., 9)``.
+
+    It is the sharp map: component ``a`` is ``tr(lambda_a adj X)``.
+    """
+    x = _vectors(x)
+    return 3.0 * np.einsum("abc,...b,...c->...a", G._dense, x, x)
+
+
 def vec_to_matrix(x):
     """Hermitian 3x3 representation of a 9-vector (broadcasts over leading axes).
 
     The determinant of the result equals ``cubic_form(x)``.
     """
-    x = np.asarray(x, dtype=float)
+    x = _vectors(x)
     return np.einsum("...a,aij->...ij", x, LAMBDA_MATRICES)
 
 
@@ -144,7 +172,8 @@ def _require_unimodular(d, n=3):
     d = np.asarray(d, dtype=complex)
     if d.shape[-2:] != (n, n):
         raise ValueError(f"expected {n}x{n} matrices, got shape {d.shape}")
-    gap = np.max(np.abs(np.linalg.det(d) - 1.0), initial=0.0)
+    with np.errstate(invalid="ignore"):  # a NaN gap fails the test below
+        gap = np.max(np.abs(np.linalg.det(d) - 1.0), initial=0.0)
     if not gap <= UNIMODULAR_TOL:
         raise NotUnimodular(f"|det - 1| = {gap:.3e} exceeds {UNIMODULAR_TOL:.1e}")
     return d

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from finsler9 import (
+    LAMBDA_MATRICES,
     DegeneratePath,
     InconsistentMomenta,
     IsotropicVelocity,
@@ -32,6 +33,7 @@ from finsler9 import (
     unit_speed_velocity,
     vec_to_matrix,
 )
+from finsler9.geometry import G, _cubic_gradient, matrix_to_vec, metric_coefficients
 
 DIAG = np.array([1.0, 0, 0, 0, 0, 0, 0, 0, 1.0])
 
@@ -53,6 +55,93 @@ def cubic_form_gradient(xdot):
         ],
         axis=-1,
     )
+
+
+#: Cyclic successors and predecessors of the row/column indices 0, 1, 2.
+_NEXT = np.array([1, 2, 0])
+_PREV = np.array([2, 0, 1])
+
+
+def _cofactor_inverse_scaled(n):
+    """Adjugate of complex 3x3 matrices; an oracle for the real sharp map.
+
+    Cofactor ``(i, j)`` is the 2x2 determinant of rows ``i+1, i+2`` and
+    columns ``j+1, j+2`` taken cyclically, which carries its sign.
+    """
+    rows1, rows2 = n[..., _NEXT, :], n[..., _PREV, :]
+    cofactor = (rows1[..., _NEXT] * rows2[..., _PREV]
+                - rows1[..., _PREV] * rows2[..., _NEXT])
+    return np.swapaxes(cofactor, -1, -2)
+
+
+D = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0])
+
+
+class TestSharpMap:
+    """The real kernel ``3 G(x, x, .)`` against the complex adjugate oracle."""
+
+    def test_metric_coefficients_is_the_module_tensor(self):
+        assert metric_coefficients() is G
+        with pytest.raises(ValueError):
+            G._dense[0, 0, 8] = 1.0  # read-only
+
+    def test_gradient_matches_adjugate_and_hand_expansion(self):
+        x = random_nonisotropic_velocity(np.random.default_rng(701), size=1000)
+        adjugate = np.einsum("aij,...ji->...a", LAMBDA_MATRICES,
+                             _cofactor_inverse_scaled(vec_to_matrix(x))).real
+        got = _cubic_gradient(x)
+        scale = np.abs(adjugate).max(axis=-1)
+        assert (np.abs(got - adjugate).max(axis=-1) / scale).max() <= 1e-14
+        assert (np.abs(got - cubic_form_gradient(x)).max(axis=-1) / scale).max() <= 1e-14
+
+    def test_sharp_of_sharp_is_norm_times_vector(self):
+        # adj(adj X) = det(X) X, read in the basis through the dual pairing
+        x = random_nonisotropic_velocity(np.random.default_rng(703), size=200)
+        sharp = 0.5 * D * _cubic_gradient(x)
+        twice = 0.5 * D * _cubic_gradient(sharp)
+        expected = cubic_form(x)[:, None] * x
+        assert_allclose(twice, expected, rtol=0, atol=1e-13 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("kappa", [-1.0, 0.7, -2.5])
+    def test_inversion_matches_complex_adjugate(self, kappa):
+        v = unit_speed_velocity(np.random.default_rng(709), size=1000)
+        p = canonical_momenta(v, kappa)
+        c = 2.0 * kappa / 3.0
+        adj = _cofactor_inverse_scaled(momenta_matrix(p))
+        oracle = matrix_to_vec(0.5 * (adj + np.conj(np.swapaxes(adj, -1, -2))) / c**2)
+        got = invert_momenta(p, kappa)
+        gap = np.abs(got - oracle).max(axis=-1) / np.abs(oracle).max(axis=-1)
+        assert gap.max() <= 1e-13
+
+    def test_stack_is_bit_identical_to_per_row_calls(self):
+        v = unit_speed_velocity(np.random.default_rng(711), size=(4, 16))
+        p = canonical_momenta(v)
+        assert np.array_equal(p.reshape(-1, 9),
+                              [canonical_momenta(row) for row in v.reshape(-1, 9)])
+        back = invert_momenta(p)
+        assert np.array_equal(back.reshape(-1, 9),
+                              [invert_momenta(row) for row in p.reshape(-1, 9)])
+
+
+class TestVectorShape:
+    CALLS = {
+        "cubic_form": cubic_form,
+        "vec_to_matrix": vec_to_matrix,
+        "momenta_matrix": momenta_matrix,
+        "lagrangian": lagrangian,
+        "canonical_momenta": canonical_momenta,
+        "invert_momenta": invert_momenta,
+        "momentum_constraint_residual": momentum_constraint_residual,
+        "_cubic_gradient": _cubic_gradient,
+    }
+
+    @pytest.mark.parametrize("length", [8, 10])
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_wrong_length_raises_value_error_naming_the_shape(self, name, length):
+        with pytest.raises(ValueError, match=rf"got shape \(3, {length}\)"):
+            self.CALLS[name](np.ones((3, length)))
+        with pytest.raises(ValueError, match=rf"got shape \({length},\)"):
+            self.CALLS[name](np.ones(length))
 
 
 class TestLagrangian:
@@ -234,13 +323,13 @@ class TestInvertMomenta:
             assert np.abs(va - vi).max() <= 1e-11 * np.abs(vi).max()
 
     def test_scaled_cofactor_matrix_is_hermitian(self):
-        from finsler9.dynamics import _cofactor_inverse_scaled
-
+        # the raw LU velocity matrix c N^-1, before symmetrisation, scaled by
+        # its largest entry as the ``inverse_hermiticity`` check does
         rng = np.random.default_rng(157)
         for _ in range(100):
             p = canonical_momenta(unit_speed_velocity(rng))
-            raw = _cofactor_inverse_scaled(momenta_matrix(p))
-            assert np.abs(raw - raw.conj().T).max() <= 1e-12
+            raw = (-2.0 / 3.0) * np.linalg.inv(momenta_matrix(p))
+            assert np.abs(raw - raw.conj().T).max() <= 1e-12 * np.abs(raw).max()
 
     def test_rejects_inconsistent_momenta(self):
         with pytest.raises(InconsistentMomenta, match="residual"):
@@ -483,6 +572,29 @@ class TestActionStationarity:
         s0 = discrete_action(tau, base)
         for eps in (1e-2, 1e-3):
             assert discrete_action(tau, base + eps * np.zeros((201, 9))) == s0
+
+    def test_stacked_curves_match_per_curve_calls(self):
+        tau = np.linspace(0.0, 1.0, 201)
+        bump = np.stack([interior_bump(4)(t) for t in tau])
+        curves = (Trajectory(np.zeros(9), DIAG).at(tau)
+                  + np.geomspace(1e-2, 1e-4, 6)[:, None, None, None] * bump
+                  * np.array([1.0, -1.0])[:, None, None])
+        actions = discrete_action(tau, curves)
+        assert actions.shape == (6, 2)
+        assert np.array_equal(actions.ravel(),
+                              [discrete_action(tau, c) for c in curves.reshape(-1, 201, 9)])
+        assert type(discrete_action(tau, curves[0, 0])) is float
+
+    def test_slope_equals_the_per_amplitude_fit(self):
+        traj = Trajectory(np.zeros(9), DIAG)
+        amplitudes = np.geomspace(1e-2, 1e-4, 5)
+        tau = np.linspace(0.0, 1.0, 201)
+        base = traj.at(tau)
+        bump = np.stack([interior_bump(6)(t) for t in tau])
+        s0 = discrete_action(tau, base)
+        gaps = [abs(discrete_action(tau, base + e * bump) - s0) for e in amplitudes]
+        expected = np.polyfit(np.log(amplitudes), np.log(gaps), 1)[0]
+        assert action_stationarity_check(traj, bump, amplitudes) == expected
 
     @pytest.mark.parametrize("slot", [0, 1, 4, 6, 8])
     def test_quadratic_scaling_in_every_slot(self, slot):
