@@ -25,8 +25,9 @@ from .exceptions import (
     SingularMomentumMatrix,
 )
 from .geometry import (
-    LAMBDA_DUAL,
+    _B_DUAL,
     _DUAL_SCALE,
+    _basis_matrix,
     _cubic_gradient,
     _rejection_sample,
     _vectors,
@@ -105,8 +106,7 @@ def momenta_matrix(p):
     doubled lower-right corner belongs to the ninth momentum, so it equals
     ``vec_to_matrix(D p)`` with ``D = diag(1, ..., 1, 2)``.
     """
-    p = _vectors(p)
-    return np.einsum("...a,aij->...ij", p, LAMBDA_DUAL)
+    return _basis_matrix(p, _B_DUAL)
 
 
 def matrix_identity_residual(xdot, kappa=DEFAULT_KAPPA):
@@ -201,10 +201,15 @@ def transform_momenta(transform, p):
 
     Momenta transform with the inverse transpose so that the pairing
     ``P . X`` is preserved.  A ``(..., 9, 9)`` stack of transforms
-    broadcasts against ``(..., 9)`` momenta.
+    broadcasts against ``(..., 9)`` momenta; any other shape raises
+    ValueError naming it.
     """
-    transpose = np.swapaxes(np.asarray(transform, dtype=float), -1, -2)
-    return np.linalg.solve(transpose, np.asarray(p, dtype=float)[..., None])[..., 0]
+    transform = np.asarray(transform, dtype=float)
+    if transform.shape[-2:] != (9, 9):
+        raise ValueError(
+            f"expected 9x9 transforms of shape (..., 9, 9), got shape {transform.shape}")
+    transpose = np.swapaxes(transform, -1, -2)
+    return np.linalg.solve(transpose, _vectors(p)[..., None])[..., 0]
 
 
 def _require_unit_speed(v0):
@@ -223,7 +228,7 @@ def general_solution(x0, v0, s):
     ``v0`` must satisfy the unit-determinant condition; ``s`` may be a
     scalar or an array of arc-length values (of either sign).
     """
-    x0 = np.asarray(x0, dtype=float)
+    x0 = _vectors(x0)
     v0 = _require_unit_speed(v0)
     s = np.asarray(s, dtype=float)
     return x0 + s[..., None] * v0

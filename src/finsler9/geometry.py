@@ -46,6 +46,15 @@ LAMBDA_MATRICES, LAMBDA_DUAL = _basis()
 #: ``LAMBDA_DUAL[a] == _DUAL_SCALE[a] * LAMBDA_MATRICES[a]``.
 _DUAL_SCALE = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0])
 
+#: The basis as the real-linear map R^9 -> C^(3x3) = R^18: row ``a`` is
+#: ``LAMBDA_MATRICES[a]`` (``LAMBDA_DUAL[a]``) read as 18 floats, real and
+#: imaginary parts interleaved.  Every entry is 0, +-1 or +-2, and every
+#: row and column has at most two nonzero entries, so each entry of a
+#: product with either matrix or its transpose is a sum of at most two exact
+#: terms: it rounds at most once, whatever order BLAS sums in.
+_B = LAMBDA_MATRICES.view(float).reshape(9, 18)
+_B_DUAL = LAMBDA_DUAL.view(float).reshape(9, 18)
+
 
 def _vectors(x):
     """``x`` as a float ``(..., 9)`` array, or ValueError naming its shape."""
@@ -96,7 +105,7 @@ class CubicMetric:
 
     def contract(self, x):
         """Triple contraction with a 9-vector; equals :func:`cubic_form`."""
-        x = np.asarray(x, dtype=float)
+        x = _vectors(x)
         return np.einsum("abc,...a,...b,...c->...", self._dense, x, x, x)
 
     def as_dense(self):
@@ -145,26 +154,41 @@ def _cubic_gradient(x):
     return 3.0 * np.einsum("abc,...b,...c->...a", G._dense, x, x)
 
 
+def _basis_matrix(x, basis):
+    """``sum_a x[..., a] basis[a]`` in ``_B`` or ``_B_DUAL``, as complex ``(..., 3, 3)``."""
+    x = _vectors(x)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN propagate
+        flat = x @ basis
+    return flat.view(complex).reshape(x.shape[:-1] + (3, 3))
+
+
 def vec_to_matrix(x):
     """Hermitian 3x3 representation of a 9-vector (broadcasts over leading axes).
 
     The determinant of the result equals ``cubic_form(x)``.
     """
-    x = _vectors(x)
-    return np.einsum("...a,aij->...ij", x, LAMBDA_MATRICES)
+    return _basis_matrix(x, _B)
 
 
 def matrix_to_vec(m, tol=HERMITIAN_TOL):
     """9-vector of a Hermitian 3x3 matrix; inverse of :func:`vec_to_matrix`.
 
-    Raises :class:`NotHermitian` if the conjugate-symmetry residue of ``m``
-    exceeds ``tol``.
+    Component ``a`` is ``Re tr(LAMBDA_DUAL[a] m) / 2``; ``m`` has shape
+    ``(..., 3, 3)`` (otherwise ValueError naming its shape).  Raises
+    :class:`NotHermitian` if the conjugate-symmetry residue of ``m``
+    exceeds ``tol`` or is not finite.
     """
     m = np.asarray(m, dtype=complex)
-    residue = np.abs(m - np.conj(np.swapaxes(m, -1, -2))).max()
-    if residue > tol:
-        raise NotHermitian(f"conjugate-symmetry residue {residue:.3e} exceeds {tol:.1e}")
-    return 0.5 * np.einsum("aij,...ji->...a", LAMBDA_DUAL, m).real
+    if m.shape[-2:] != (3, 3):
+        raise ValueError(f"expected 3x3 matrices of shape (..., 3, 3), got shape {m.shape}")
+    flat = np.ascontiguousarray(m).view(float).reshape(m.shape[:-2] + (18,))
+    # inf - inf is NaN, which fails the residue test; two entries near the
+    # float limit sum to inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        residue = np.max(np.abs(m - np.conj(np.swapaxes(m, -1, -2))), initial=0.0)
+        if not residue <= tol:
+            raise NotHermitian(f"conjugate-symmetry residue {residue:.3e} exceeds {tol:.1e}")
+        return 0.5 * (flat @ _B_DUAL.T)
 
 
 def _require_unimodular(d, n=3):
@@ -203,10 +227,16 @@ def conjugation_action(d, x):
     """Transform a 9-vector by conjugating its Hermitian representation.
 
     Returns the 9-vector of ``d @ vec_to_matrix(x) @ d^+``; equals
-    ``group_action(d) @ x`` and broadcasts over leading axes.
+    ``group_action(d) @ x`` and broadcasts over leading axes.  A NaN or
+    infinite ``x`` raises :class:`NotHermitian`.
     """
     d = _require_unimodular(d)
-    m = d @ vec_to_matrix(x) @ np.conj(np.swapaxes(d, -1, -2))
+    m = d @ vec_to_matrix(x)
+    d_adj = np.conj(np.swapaxes(d, -1, -2))
+    if d.ndim == 2:  # one (3n, 3) @ (3, 3) BLAS call for the right product, not n
+        m = (m.reshape(-1, 3) @ d_adj).reshape(m.shape)
+    else:
+        m = m @ d_adj
     m = 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))  # exact result is Hermitian
     return matrix_to_vec(m)
 

@@ -27,6 +27,7 @@ from finsler9 import (
     lorentz_residual,
     matrix_identity_residual,
     metric_coefficients,
+    momenta_matrix,
     momentum_constraint_residual,
     random_nonisotropic_velocity,
     random_unimodular,
@@ -283,3 +284,26 @@ def test_14_propagate_runtime(tmp_path):
             ok = len(samples) == 100000 and samples[-1] == {"s": 1, "x": [1] + [0] * 7 + [1]}
         verdict(f"14 propagate, 100000 samples as {fmt.upper()}",
                 proc.returncode == 0 and ok, elapsed, 2.0)
+
+
+def test_15_stacked_basis_maps_runtime():
+    x = np.random.default_rng(1015).uniform(-1, 1, size=(100_000, 9))
+    dual_scale = np.array([1.0] * 8 + [2.0])  # momenta_matrix(p) == vec_to_matrix(D p)
+    for func, scale in ((vec_to_matrix, 1.0), (momenta_matrix, dual_scale)):
+        func(x)  # untimed: the allocator maps fresh pages for the first outputs
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            m = func(x)
+            times.append(time.perf_counter() - start)
+        head = x[:1000] * scale
+        det = np.linalg.det(m[:1000])
+        bound = 1e-12 * np.maximum(1.0, np.linalg.norm(head, axis=1) ** 3)
+        ok = bool(
+            m.shape == (100_000, 3, 3)
+            and np.array_equal(m, np.conj(np.swapaxes(m, -1, -2)))
+            and np.all(np.abs(det.real - cubic_form(head)) <= bound)
+            and np.all(np.abs(det.imag) <= bound)
+        )
+        verdict(f"15 {func.__name__} on 100000 stacked vectors, min of 3", ok,
+                min(times), 0.02)

@@ -1,5 +1,7 @@
 """Tests for the particle mechanics: momenta, inversion, straight lines."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -133,6 +135,9 @@ class TestVectorShape:
         "invert_momenta": invert_momenta,
         "momentum_constraint_residual": momentum_constraint_residual,
         "_cubic_gradient": _cubic_gradient,
+        "CubicMetric.contract": G.contract,
+        "general_solution_x0": lambda x0: general_solution(x0, DIAG, 1.0),
+        "transform_momenta_p": lambda p: transform_momenta(np.eye(9), p),
     }
 
     @pytest.mark.parametrize("length", [8, 10])
@@ -142,6 +147,11 @@ class TestVectorShape:
             self.CALLS[name](np.ones((3, length)))
         with pytest.raises(ValueError, match=rf"got shape \({length},\)"):
             self.CALLS[name](np.ones(length))
+
+    @pytest.mark.parametrize("shape", [(8, 8), (10, 10), (9, 8), (2, 9, 10), (9,)])
+    def test_transform_that_is_not_9x9_raises_value_error_naming_the_shape(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            transform_momenta(np.ones(shape), np.ones(9))
 
 
 class TestLagrangian:

@@ -1,6 +1,8 @@
 """Tests for the cubic norm, the matrix basis, and the symmetry action."""
 
 import itertools
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -17,9 +19,11 @@ from finsler9 import (
     group_action,
     matrix_to_vec,
     metric_coefficients,
+    momenta_matrix,
     random_unimodular,
     vec_to_matrix,
 )
+from finsler9.geometry import HERMITIAN_TOL
 
 GELL_MANN = [
     np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex),
@@ -328,3 +332,144 @@ class TestRandomUnimodularSize:
         rng = np.random.default_rng(71)
         assert random_unimodular(rng, size=(2, 3)).shape == (2, 3, 3, 3)
         assert random_unimodular(rng, size=0).shape == (0, 3, 3)
+
+
+# The basis maps as complex einsums over all 81 basis entries per vector:
+# the library computes them as real (9, 18) products, which must give the
+# same bits.
+def vec_to_matrix_oracle(x):
+    return np.einsum("...a,aij->...ij", x, LAMBDA_MATRICES)
+
+
+def momenta_matrix_oracle(p):
+    return np.einsum("...a,aij->...ij", p, LAMBDA_DUAL)
+
+
+def matrix_to_vec_oracle(m):
+    return 0.5 * np.einsum("aij,...ji->...a", LAMBDA_DUAL, m).real
+
+
+def conjugation_oracle(d, x):
+    """``conjugation_action`` as ``d @ X @ d^+`` with the oracle maps."""
+    m = d @ vec_to_matrix_oracle(x) @ d.conj().T
+    return matrix_to_vec_oracle(0.5 * (m + np.conj(np.swapaxes(m, -1, -2))))
+
+
+def assert_same_bits(actual, expected):
+    """Equal values, shapes and zero signs (``array_equal`` takes -0 == 0)."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape
+    actual, expected = actual.view(float), expected.view(float)
+    assert np.array_equal(actual, expected)
+    assert np.array_equal(np.signbit(actual), np.signbit(expected))
+
+
+def wide_vectors(seed, n=4000):
+    """Signed magnitudes from 1e-300 to 1e300, with zeros and negative zeros."""
+    rng = np.random.default_rng(seed)
+    x = 10.0 ** rng.uniform(-300, 300, size=(n, 9)) * rng.choice([-1.0, 1.0], size=(n, 9))
+    x[rng.random((n, 9)) < 0.1] = 0.0
+    x[rng.random((n, 9)) < 0.1] = -0.0
+    return x
+
+
+class TestBasisMapsAsRealProducts:
+    @pytest.mark.parametrize("seed", [101, 103, 107])
+    def test_vec_to_matrix_and_momenta_matrix_equal_the_einsum_oracle(self, seed):
+        x = wide_vectors(seed)
+        assert_same_bits(vec_to_matrix(x), vec_to_matrix_oracle(x))
+        assert_same_bits(momenta_matrix(x), momenta_matrix_oracle(x))
+        assert_same_bits(vec_to_matrix(x[0]), vec_to_matrix_oracle(x[0]))
+        assert_same_bits(momenta_matrix(x[0]), momenta_matrix_oracle(x[0]))
+
+    def test_all_negative_zero_vectors(self):
+        x = np.full((3, 9), -0.0)
+        assert_same_bits(vec_to_matrix(x), vec_to_matrix_oracle(x))
+        assert_same_bits(momenta_matrix(x), momenta_matrix_oracle(x))
+        assert_same_bits(matrix_to_vec(vec_to_matrix(x)),
+                         matrix_to_vec_oracle(vec_to_matrix(x)))
+
+    @pytest.mark.parametrize("seed", [109, 113])
+    def test_matrix_to_vec_equals_the_einsum_oracle(self, seed):
+        m = vec_to_matrix_oracle(wide_vectors(seed))
+        assert_same_bits(matrix_to_vec(m), matrix_to_vec_oracle(m))
+        assert_same_bits(matrix_to_vec(m[0]), matrix_to_vec_oracle(m[0]))
+
+    def test_matrix_to_vec_within_tolerance_of_hermitian(self):
+        rng = np.random.default_rng(127)
+        m = vec_to_matrix_oracle(rng.uniform(-1, 1, size=(4000, 9)))
+        noise = rng.uniform(-1, 1, size=m.shape) + 1j * rng.uniform(-1, 1, size=m.shape)
+        m = m + 0.3 * HERMITIAN_TOL * noise  # |m - m^+| <= 0.6 sqrt(2) tol
+        assert_same_bits(matrix_to_vec(m), matrix_to_vec_oracle(m))
+
+    def test_non_finite_entries_propagate_as_in_the_oracle_without_warning(self):
+        rng = np.random.default_rng(131)
+        x = rng.uniform(-1, 1, size=(500, 9))
+        for value, share in [(np.inf, 0.05), (-np.inf, 0.05), (np.nan, 0.05)]:
+            x[rng.random(x.shape) < share] = value
+        x[0] = [1e308, 0, 0, 1e308, 0, 0, 0, 0, 1e308]  # sums and 2 p_8 overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(vec_to_matrix(x), vec_to_matrix_oracle(x), equal_nan=True)
+            assert np.array_equal(momenta_matrix(x), momenta_matrix_oracle(x),
+                                  equal_nan=True)
+            m = np.diag([1e308, 1e308, 1e308]).astype(complex)
+            assert np.array_equal(matrix_to_vec(m), matrix_to_vec_oracle(m))
+
+    def test_stack_equals_per_row_calls(self):
+        x = wide_vectors(137, n=64).reshape(4, 16, 9)
+        rows = x.reshape(-1, 9)
+        for func in (vec_to_matrix, momenta_matrix):
+            per_row = np.array([func(row) for row in rows])
+            assert_same_bits(func(x).reshape(per_row.shape), per_row)
+        m = vec_to_matrix(x)
+        per_row = np.array([matrix_to_vec(mat) for mat in m.reshape(-1, 3, 3)])
+        assert_same_bits(matrix_to_vec(m).reshape(per_row.shape), per_row)
+
+    def test_empty_stacks(self):
+        assert vec_to_matrix(np.zeros((0, 9))).shape == (0, 3, 3)
+        assert matrix_to_vec(np.zeros((0, 3, 3))).shape == (0, 9)
+
+    def test_non_contiguous_matrices(self):
+        m = vec_to_matrix_oracle(wide_vectors(139, n=50))
+        view = np.swapaxes(m.conj(), -1, -2)  # the same Hermitian matrices, strided
+        assert not view.flags.c_contiguous
+        assert_same_bits(matrix_to_vec(view), matrix_to_vec_oracle(view))
+
+    @pytest.mark.parametrize("shape", [(), (3, 9), (5, 2, 9)])
+    def test_one_d_conjugation_equals_the_plain_triple_product(self, shape):
+        rng = np.random.default_rng(149)
+        for _ in range(40):
+            d = random_unimodular(rng)
+            x = rng.uniform(-10, 10, size=shape + (9,))
+            assert_same_bits(conjugation_action(d, x), conjugation_oracle(d, x))
+
+    def test_one_d_conjugation_on_a_large_stack(self):
+        rng = np.random.default_rng(151)
+        d = random_unimodular(rng)
+        x = rng.uniform(-1, 1, size=(2500, 9))
+        assert_same_bits(conjugation_action(d, x), conjugation_oracle(d, x))
+
+    @pytest.mark.parametrize("shape", [(9, 1), (1, 9), (3,), (2, 2), (), (4, 3, 2)])
+    def test_matrix_to_vec_rejects_non_3x3_input_naming_the_shape(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            matrix_to_vec(np.zeros(shape))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_is_not_hermitian(self, value):
+        m = vec_to_matrix(np.random.default_rng(157).uniform(-1, 1, size=(6, 9)))
+        m[2, 0, 0] = value
+        with pytest.raises(NotHermitian):
+            matrix_to_vec(m)
+        m = vec_to_matrix(np.ones(9))
+        m[1, 2] = value
+        with pytest.raises(NotHermitian):
+            matrix_to_vec(m)
+
+    def test_conjugation_of_a_nan_row_is_not_hermitian(self):
+        rng = np.random.default_rng(163)
+        x = rng.uniform(-1, 1, size=(6, 9))
+        x[4, 7] = np.nan
+        with pytest.raises(NotHermitian):
+            conjugation_action(random_unimodular(rng), x)
+
