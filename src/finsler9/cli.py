@@ -110,8 +110,13 @@ def _output(out):
         yield handle
 
 
-def _emit(text, out):
-    with _output(out) as handle:
+def _emit(args, columns, values, doc):
+    """Write one record: a CSV ``columns`` header over a ``values`` row, or ``doc`` as JSON."""
+    if args.format == "csv":
+        text = ",".join(columns) + "\n" + ",".join([_fmt(v) for v in values]) + "\n"
+    else:
+        text = _to_json(doc) + "\n"
+    with _output(args.out) as handle:
         handle.write(text)
 
 
@@ -172,13 +177,8 @@ def _cmd_invert(args):
     momenta = _parse_floats(args.momenta, "--momenta")
     v0 = invert_momenta(momenta, kappa)
     det = float(np.linalg.det(vec_to_matrix(v0)).real)
-    if args.format == "csv":
-        header = ",".join(f"X{a}dot" for a in range(9)) + ",det"
-        row = ",".join([_fmt(c) for c in v0] + [_fmt(det)])
-        text = header + "\n" + row + "\n"
-    else:
-        text = _to_json({"kappa": kappa, "v0": list(v0), "det": det}) + "\n"
-    _emit(text, args.out)
+    _emit(args, [f"X{a}dot" for a in range(9)] + ["det"], [*v0, det],
+          {"kappa": kappa, "v0": list(v0), "det": det})
     return EXIT_OK
 
 
@@ -188,13 +188,9 @@ def _cmd_transform(args):
     ell = group_action(d)
     moved = ell @ x
     before, after = float(cubic_form(x)), float(cubic_form(moved))
-    if args.format == "csv":
-        header = ",".join(f"X{a}p" for a in range(9)) + ",cubic_in,cubic_out"
-        row = ",".join([_fmt(c) for c in moved] + [_fmt(before), _fmt(after)])
-        text = header + "\n" + row + "\n"
-    else:
-        text = _to_json({"x_out": list(moved), "cubic_in": before, "cubic_out": after}) + "\n"
-    _emit(text, args.out)
+    _emit(args, [f"X{a}p" for a in range(9)] + ["cubic_in", "cubic_out"],
+          [*moved, before, after],
+          {"x_out": list(moved), "cubic_in": before, "cubic_out": after})
     return EXIT_OK
 
 
@@ -210,13 +206,8 @@ def _cmd_reduce4d(args):
     kappa = -mass * light_speed
     density_9 = kappa * float(np.cbrt(cubic_form(nine)))
     density_4 = kappa * float(np.sqrt(minkowski_norm_sq(xdot03)))
-    if args.format == "csv":
-        text = ("x8dot,finsler_density,minkowski_density\n"
-                + ",".join([_fmt(x8dot), _fmt(density_9), _fmt(density_4)]) + "\n")
-    else:
-        text = _to_json({"x8dot": x8dot, "finsler_density": density_9,
-                         "minkowski_density": density_4}) + "\n"
-    _emit(text, args.out)
+    record = {"x8dot": x8dot, "finsler_density": density_9, "minkowski_density": density_4}
+    _emit(args, list(record), list(record.values()), record)
     return EXIT_OK
 
 
@@ -235,7 +226,8 @@ def _cmd_check(args):
         except ValueError:
             raise UsageError(f"--tol {name}: bad value {value!r}") from None
     report = run_checks(seed=args.seed, trials=args.trials, tolerances=overrides)
-    _emit(_to_json(report) + "\n", args.out)
+    with _output(args.out) as handle:
+        handle.write(_to_json(report) + "\n")
     if not all_passed(report):
         failed = sum(1 for entry in report.values() if entry["failures"])
         print(f"CheckFailure: {failed} of {len(report)} checks failed", file=sys.stderr)

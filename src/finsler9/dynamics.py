@@ -29,8 +29,9 @@ from .geometry import (
     _DUAL_SCALE,
     _basis_matrix,
     _cubic_gradient,
+    _item,
     _rejection_sample,
-    _vectors,
+    _stack,
     cubic_form,
     matrix_to_vec,
     vec_to_matrix,
@@ -58,10 +59,10 @@ def _check_kappa(kappa):
 
 def _nonisotropic_form(xdot):
     """Cubic form of the velocity, or IsotropicVelocity if it is negligible."""
-    xdot = np.asarray(xdot, dtype=float)
+    xdot = _stack(xdot, 9)
     f = cubic_form(xdot)
     norm3 = np.linalg.norm(xdot, axis=-1) ** 3
-    bad = np.abs(f) < ISOTROPY_EPS * norm3
+    bad = ~(np.abs(f) >= ISOTROPY_EPS * norm3)  # NaN is bad too
     bad |= norm3 == 0.0  # the zero vector is isotropic by definition
     if np.any(bad):
         raise IsotropicVelocity(
@@ -94,7 +95,7 @@ def canonical_momenta(xdot, kappa=DEFAULT_KAPPA):
 
 def canonical_energy(xdot, kappa=DEFAULT_KAPPA):
     """``P . xdot - L``; identically zero for this degree-1 Lagrangian."""
-    xdot = np.asarray(xdot, dtype=float)
+    xdot = _stack(xdot, 9)
     p = canonical_momenta(xdot, kappa)
     return np.einsum("...a,...a->...", p, xdot) - lagrangian(xdot, kappa)
 
@@ -119,12 +120,11 @@ def matrix_identity_residual(xdot, kappa=DEFAULT_KAPPA):
     single one); the contract is ``<= 1e-10 * (1 + |xdot|^2 |P|)``.
     """
     kappa = _check_kappa(kappa)
-    xdot = np.asarray(xdot, dtype=float)
+    xdot = _stack(xdot, 9)
     p = canonical_momenta(xdot, kappa)
     lhs = vec_to_matrix(xdot) @ momenta_matrix(p)
     rhs = (2.0 * kappa / 3.0) * np.cbrt(cubic_form(xdot))[..., None, None] * np.eye(3)
-    residual = np.abs(lhs - rhs).max(axis=(-2, -1))
-    return float(residual) if residual.ndim == 0 else residual
+    return _item(np.abs(lhs - rhs).max(axis=(-2, -1)))
 
 
 def momentum_constraint_residual(p, kappa=DEFAULT_KAPPA):
@@ -136,7 +136,7 @@ def momentum_constraint_residual(p, kappa=DEFAULT_KAPPA):
     ``1e-8 * |2 kappa / 3|^3`` to be admitted by :func:`invert_momenta`.
     """
     kappa = _check_kappa(kappa)
-    p = np.asarray(p, dtype=float)
+    p = _stack(p, 9)
     with np.errstate(invalid="ignore"):  # NaN rows fail admission in invert_momenta
         det = np.linalg.det(momenta_matrix(p))
     scale = np.maximum(1.0, np.linalg.norm(p, axis=-1) ** 3)
@@ -144,8 +144,7 @@ def momentum_constraint_residual(p, kappa=DEFAULT_KAPPA):
     if np.any(excess > 0):
         worst = det.imag.flat[np.argmax(excess)]
         raise NonRealEntry(f"determinant imaginary part {worst:.3e}")
-    residual = det.real - (2.0 * kappa / 3.0) ** 3
-    return float(residual) if residual.ndim == 0 else residual
+    return _item(det.real - (2.0 * kappa / 3.0) ** 3)
 
 
 def invert_momenta(p, kappa=DEFAULT_KAPPA, method="adjugate"):
@@ -173,7 +172,7 @@ def invert_momenta(p, kappa=DEFAULT_KAPPA, method="adjugate"):
         back to :func:`canonical_momenta` reproduces ``p``.
     """
     kappa = _check_kappa(kappa)
-    p = np.asarray(p, dtype=float)
+    p = _stack(p, 9)
     residual = np.asarray(momentum_constraint_residual(p, kappa))
     c = 2.0 * kappa / 3.0
     admitted = CONSTRAINT_ADMISSION_TOL * abs(c) ** 3
@@ -204,12 +203,8 @@ def transform_momenta(transform, p):
     broadcasts against ``(..., 9)`` momenta; any other shape raises
     ValueError naming it.
     """
-    transform = np.asarray(transform, dtype=float)
-    if transform.shape[-2:] != (9, 9):
-        raise ValueError(
-            f"expected 9x9 transforms of shape (..., 9, 9), got shape {transform.shape}")
-    transpose = np.swapaxes(transform, -1, -2)
-    return np.linalg.solve(transpose, _vectors(p)[..., None])[..., 0]
+    transpose = np.swapaxes(_stack(transform, 9, 9), -1, -2)
+    return np.linalg.solve(transpose, _stack(p, 9)[..., None])[..., 0]
 
 
 def _require_unit_speed(v0):
@@ -228,7 +223,7 @@ def general_solution(x0, v0, s):
     ``v0`` must satisfy the unit-determinant condition; ``s`` may be a
     scalar or an array of arc-length values (of either sign).
     """
-    x0 = _vectors(x0)
+    x0 = _stack(x0, 9)
     v0 = _require_unit_speed(v0)
     s = np.asarray(s, dtype=float)
     return x0 + s[..., None] * v0
@@ -243,7 +238,7 @@ class Trajectory:
     s_range: tuple = (0.0, 1.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
+        object.__setattr__(self, "x0", _stack(self.x0, 9))
         object.__setattr__(self, "v0", _require_unit_speed(self.v0))
         s_i, s_f = self.s_range
         if s_i != 0.0:
@@ -310,8 +305,7 @@ def discrete_action(tau, positions, kappa=DEFAULT_KAPPA):
     """
     tau = np.asarray(tau, dtype=float)
     vel = np.gradient(np.asarray(positions, dtype=float), tau, axis=-2)
-    action = np.trapezoid(lagrangian(vel, kappa), tau)
-    return float(action) if action.ndim == 0 else action
+    return _item(np.trapezoid(lagrangian(vel, kappa), tau))
 
 
 def action_stationarity_check(traj, eta, amplitudes, kappa=DEFAULT_KAPPA, samples=201):

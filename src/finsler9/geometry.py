@@ -56,17 +56,39 @@ _B = LAMBDA_MATRICES.view(float).reshape(9, 18)
 _B_DUAL = LAMBDA_DUAL.view(float).reshape(9, 18)
 
 
-def _vectors(x):
-    """``x`` as a float ``(..., 9)`` array, or ValueError naming its shape."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1:] != (9,):
-        raise ValueError(f"expected 9-vectors of shape (..., 9), got shape {x.shape}")
+#: Rows per BLAS call in the basis products.  Past about 2^20 multiply-adds
+#: (6 000 rows) OpenBLAS threads a product, several times slower on 2 cores.
+_BLOCK_ROWS = 4096
+
+
+def _stack(x, *tail, dtype=float):
+    """``x`` as a ``dtype`` stack of shape ``(..., *tail)``, or ValueError naming its shape."""
+    x = np.asarray(x, dtype=dtype)
+    if x.shape[-len(tail):] != tail:
+        kind = ", ".join(map(str, tail))
+        raise ValueError(f"expected shape (..., {kind}), got shape {x.shape}")
     return x
+
+
+def _item(r):
+    """A Python float for a 0-d result, the array itself otherwise."""
+    return float(r) if r.ndim == 0 else r
+
+
+def _rows_times(a, b):
+    """``a @ b`` for a ``(..., k)`` stack ``a``, ``_BLOCK_ROWS`` rows a BLAS call."""
+    if a.size <= _BLOCK_ROWS * a.shape[-1]:
+        return a @ b
+    rows = a.reshape(-1, a.shape[-1])
+    out = np.empty((len(rows), b.shape[1]))
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        np.matmul(rows[start:start + _BLOCK_ROWS], b, out=out[start:start + _BLOCK_ROWS])
+    return out.reshape(a.shape[:-1] + b.shape[1:])
 
 
 def cubic_form(x):
     """Cubic norm ``|X|^3`` of a 9-vector (broadcasts over leading axes)."""
-    x = _vectors(x)
+    x = _stack(x, 9)
     x0, x1, x2, x3, x4, x5, x6, x7, x8 = (x[..., a] for a in range(9))
     return (
         (x0**2 - x1**2 - x2**2 - x3**2) * x8
@@ -105,7 +127,7 @@ class CubicMetric:
 
     def contract(self, x):
         """Triple contraction with a 9-vector; equals :func:`cubic_form`."""
-        x = _vectors(x)
+        x = _stack(x, 9)
         return np.einsum("abc,...a,...b,...c->...", self._dense, x, x, x)
 
     def as_dense(self):
@@ -150,15 +172,15 @@ def _cubic_gradient(x):
 
     It is the sharp map: component ``a`` is ``tr(lambda_a adj X)``.
     """
-    x = _vectors(x)
+    x = _stack(x, 9)
     return 3.0 * np.einsum("abc,...b,...c->...a", G._dense, x, x)
 
 
 def _basis_matrix(x, basis):
     """``sum_a x[..., a] basis[a]`` in ``_B`` or ``_B_DUAL``, as complex ``(..., 3, 3)``."""
-    x = _vectors(x)
+    x = _stack(x, 9)
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN propagate
-        flat = x @ basis
+        flat = _rows_times(x, basis)
     return flat.view(complex).reshape(x.shape[:-1] + (3, 3))
 
 
@@ -178,9 +200,7 @@ def matrix_to_vec(m, tol=HERMITIAN_TOL):
     :class:`NotHermitian` if the conjugate-symmetry residue of ``m``
     exceeds ``tol`` or is not finite.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.shape[-2:] != (3, 3):
-        raise ValueError(f"expected 3x3 matrices of shape (..., 3, 3), got shape {m.shape}")
+    m = _stack(m, 3, 3, dtype=complex)
     flat = np.ascontiguousarray(m).view(float).reshape(m.shape[:-2] + (18,))
     # inf - inf is NaN, which fails the residue test; two entries near the
     # float limit sum to inf
@@ -188,14 +208,12 @@ def matrix_to_vec(m, tol=HERMITIAN_TOL):
         residue = np.max(np.abs(m - np.conj(np.swapaxes(m, -1, -2))), initial=0.0)
         if not residue <= tol:
             raise NotHermitian(f"conjugate-symmetry residue {residue:.3e} exceeds {tol:.1e}")
-        return 0.5 * (flat @ _B_DUAL.T)
+        return 0.5 * _rows_times(flat, _B_DUAL.T)
 
 
 def _require_unimodular(d, n=3):
     """``d`` as a complex ``(..., n, n)`` stack, or NotUnimodular for its worst gap."""
-    d = np.asarray(d, dtype=complex)
-    if d.shape[-2:] != (n, n):
-        raise ValueError(f"expected {n}x{n} matrices, got shape {d.shape}")
+    d = _stack(d, n, n, dtype=complex)
     with np.errstate(invalid="ignore"):  # a NaN gap fails the test below
         gap = np.max(np.abs(np.linalg.det(d) - 1.0), initial=0.0)
     if not gap <= UNIMODULAR_TOL:

@@ -12,7 +12,7 @@ minus mass times speed of light.
 import numpy as np
 
 from .exceptions import BlockLeakage, NonTimelike
-from .geometry import _require_unimodular, cubic_form, group_action
+from .geometry import _item, _require_unimodular, _stack, cubic_form, group_action
 
 #: Minkowski metric with signature (+, -, -, -).
 MINKOWSKI_METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
@@ -31,7 +31,7 @@ _BLOCK_MASK.setflags(write=False)
 
 def minkowski_norm_sq(x4):
     """``g_ab x^a x^b`` of a 4-vector (broadcasts over leading axes)."""
-    x4 = np.asarray(x4, dtype=float)
+    x4 = _stack(x4, 4)
     return x4[..., 0] ** 2 - x4[..., 1] ** 2 - x4[..., 2] ** 2 - x4[..., 3] ** 2
 
 
@@ -47,14 +47,13 @@ def embed_sl2(d2):
     return d3
 
 
-def _split_blocks(ell, tol=BLOCK_TOL):
+def _split_blocks(ell):
     """Separate 9x9 matrices into the 4+4+1 diagonal blocks, or fail loudly."""
     leak = np.max(np.abs(np.where(_BLOCK_MASK, 0.0, ell)), initial=0.0)
-    if not leak <= tol:
-        raise BlockLeakage(f"cross-block entry {leak:.3e} exceeds {tol:.1e}")
-    scalar = ell[..., 8, 8].copy()
+    if not leak <= BLOCK_TOL:
+        raise BlockLeakage(f"cross-block entry {leak:.3e} exceeds {BLOCK_TOL:.1e}")
     return (ell[..., _VEC, _VEC].copy(), ell[..., _SPIN, _SPIN].copy(),
-            float(scalar) if scalar.ndim == 0 else scalar)
+            _item(ell[..., 8, 8].copy()))
 
 
 def block_split_check(d2):
@@ -73,10 +72,9 @@ def lorentz_residual(block):
 
     ``(..., 4, 4)`` blocks give shape ``(...)`` (a float for a single one).
     """
-    block = np.asarray(block, dtype=float)
+    block = _stack(block, 4, 4)
     g = MINKOWSKI_METRIC
-    residual = np.abs(np.swapaxes(block, -1, -2) @ g @ block - g).max(axis=(-2, -1))
-    return float(residual) if residual.ndim == 0 else residual
+    return _item(np.abs(np.swapaxes(block, -1, -2) @ g @ block - g).max(axis=(-2, -1)))
 
 
 def _timelike_norm_sq(x4):
@@ -92,7 +90,7 @@ def constraint_residual(xdot):
     The constraint equates the cubic form with the 3/2 power of the
     Minkowski norm of the 4-velocity part.  Requires a timelike 4-part.
     """
-    xdot = np.asarray(xdot, dtype=float)
+    xdot = _stack(xdot, 9)
     q = _timelike_norm_sq(xdot[..., _VEC])
     return cubic_form(xdot) - q**1.5
 
@@ -105,8 +103,7 @@ def solve_x8dot(xdot03, xdot47):
     the solution is the constraint's deficit at a zero ninth velocity over
     that norm.  Broadcasts over leading axes.
     """
-    x4, s4 = np.broadcast_arrays(np.asarray(xdot03, dtype=float),
-                                 np.asarray(xdot47, dtype=float))
+    x4, s4 = np.broadcast_arrays(_stack(xdot03, 4), _stack(xdot47, 4))
     q = _timelike_norm_sq(x4)
     resting = np.concatenate([x4, s4, np.zeros_like(x4[..., :1])], axis=-1)
     return (q**1.5 - cubic_form(resting)) / q
@@ -114,8 +111,7 @@ def solve_x8dot(xdot03, xdot47):
 
 def assemble_velocity(xdot03, xdot47):
     """Full 9-velocity with the ninth component solved from the constraint."""
-    x4 = np.asarray(xdot03, dtype=float)
-    s4 = np.asarray(xdot47, dtype=float)
+    x4, s4 = _stack(xdot03, 4), _stack(xdot47, 4)
     x8 = solve_x8dot(x4, s4)
     return np.concatenate([x4, s4, x8[..., None]], axis=-1)
 
@@ -138,16 +134,11 @@ def reduced_action_check(tau, xdot4, spinor, mass, light_speed, kappa=None):
     light_speed = np.asarray(light_speed, dtype=float)
     if not (np.all(mass > 0) and np.all(light_speed > 0)):
         raise ValueError("mass and light speed must be positive")
-    if kappa is None:
-        kappa = -mass * light_speed
-    kappa = np.asarray(kappa, dtype=float)
+    kappa = np.asarray(-mass * light_speed if kappa is None else kappa, dtype=float)
     tau = np.asarray(tau, dtype=float)
-    xdot4 = np.asarray(xdot4, dtype=float)
-    spinor = np.asarray(spinor, dtype=float)
+    xdot4, spinor = _stack(xdot4, 4), _stack(spinor, 4)
     q = _timelike_norm_sq(xdot4)
     nine = assemble_velocity(xdot4, spinor)
     s_cubic = np.trapezoid(kappa[..., None] * np.cbrt(cubic_form(nine)), tau, axis=-1)
     s_mink = np.trapezoid(-(mass * light_speed)[..., None] * np.sqrt(q), tau, axis=-1)
-    if s_cubic.ndim == 0:
-        return float(s_cubic), float(s_mink)
-    return s_cubic, s_mink
+    return _item(s_cubic), _item(s_mink)

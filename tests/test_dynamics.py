@@ -19,6 +19,7 @@ from finsler9 import (
     arc_length,
     canonical_energy,
     canonical_momenta,
+    constraint_residual,
     cubic_form,
     discrete_action,
     general_solution,
@@ -138,7 +139,13 @@ class TestVectorShape:
         "CubicMetric.contract": G.contract,
         "general_solution_x0": lambda x0: general_solution(x0, DIAG, 1.0),
         "transform_momenta_p": lambda p: transform_momenta(np.eye(9), p),
+        "Trajectory_x0": lambda x0: Trajectory(x0, DIAG),
+        "constraint_residual": constraint_residual,
     }
+
+    def test_message_names_the_expected_and_the_received_shape(self):
+        with pytest.raises(ValueError, match=re.escape("expected shape (..., 9), got shape (8,)")):
+            cubic_form(np.ones(8))
 
     @pytest.mark.parametrize("length", [8, 10])
     @pytest.mark.parametrize("name", sorted(CALLS))
@@ -181,6 +188,15 @@ class TestLagrangian:
     def test_rejects_kappa_zero(self):
         with pytest.raises(ValueError):
             lagrangian(DIAG, kappa=0.0)
+
+    @pytest.mark.parametrize("func", [lagrangian, canonical_momenta, canonical_energy])
+    def test_rejects_nan_velocity(self, func):
+        xdot = np.stack([DIAG, DIAG])
+        xdot[1, 4] = np.nan
+        with pytest.raises(IsotropicVelocity):
+            func(xdot[1])
+        with pytest.raises(IsotropicVelocity):
+            func(xdot)
 
 
 class TestCanonicalMomenta:

@@ -23,7 +23,7 @@ from finsler9 import (
     random_unimodular,
     vec_to_matrix,
 )
-from finsler9.geometry import HERMITIAN_TOL
+from finsler9.geometry import _BLOCK_ROWS, HERMITIAN_TOL
 
 GELL_MANN = [
     np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex),
@@ -425,6 +425,14 @@ class TestBasisMapsAsRealProducts:
         m = vec_to_matrix(x)
         per_row = np.array([matrix_to_vec(mat) for mat in m.reshape(-1, 3, 3)])
         assert_same_bits(matrix_to_vec(m).reshape(per_row.shape), per_row)
+
+    def test_stacks_of_several_row_blocks_equal_the_einsum_oracle(self):
+        x = wide_vectors(167, n=2 * (2 * _BLOCK_ROWS + 3)).reshape(2, -1, 9)
+        for stack in (x, np.swapaxes(x, 0, 1)):  # contiguous and strided
+            assert_same_bits(vec_to_matrix(stack), vec_to_matrix_oracle(stack))
+            assert_same_bits(momenta_matrix(stack), momenta_matrix_oracle(stack))
+            m = vec_to_matrix_oracle(stack)
+            assert_same_bits(matrix_to_vec(m), matrix_to_vec_oracle(m))
 
     def test_empty_stacks(self):
         assert vec_to_matrix(np.zeros((0, 9))).shape == (0, 3, 3)

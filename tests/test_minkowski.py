@@ -1,5 +1,7 @@
 """Tests for the 4-dimensional relativistic limit."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -67,6 +69,7 @@ class TestBlockSplit:
         assert_allclose(vec, np.eye(4))
         assert_allclose(spin, np.eye(4))
         assert scalar == 1.0
+        assert type(scalar) is float
 
     def test_boost_mixes_time_and_third_axis(self):
         eta = 0.3
@@ -295,6 +298,37 @@ class TestReducedAction:
         x4[100] = [0.5, 0.9, 0, 0]
         with pytest.raises(NonTimelike):
             reduced_action_check(tau, x4, np.zeros((201, 4)), 1.0, 1.0)
+
+
+TIMELIKE = np.array([2.0, 1.0, 0.0, 0.0])
+SPINOR = np.full(4, 0.5)
+
+
+class TestVectorShape:
+    CALLS = {
+        "minkowski_norm_sq": minkowski_norm_sq,
+        "solve_x8dot_xdot03": lambda v: solve_x8dot(v, SPINOR),
+        "solve_x8dot_xdot47": lambda v: solve_x8dot(TIMELIKE, v),
+        "assemble_velocity_xdot03": lambda v: assemble_velocity(v, SPINOR),
+        "assemble_velocity_xdot47": lambda v: assemble_velocity(TIMELIKE, v),
+        "reduced_action_check_xdot4":
+            lambda v: reduced_action_check(np.linspace(0.0, 1.0, 3), v, SPINOR, 1.0, 1.0),
+        "reduced_action_check_spinor":
+            lambda v: reduced_action_check(np.linspace(0.0, 1.0, 3), TIMELIKE, v, 1.0, 1.0),
+    }
+
+    @pytest.mark.parametrize("length", [3, 5])
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_wrong_length_raises_value_error_naming_the_shape(self, name, length):
+        with pytest.raises(ValueError, match=rf"got shape \(3, {length}\)"):
+            self.CALLS[name](np.full((3, length), 2.0))
+        with pytest.raises(ValueError, match=rf"got shape \({length},\)"):
+            self.CALLS[name](np.full(length, 2.0))
+
+    @pytest.mark.parametrize("shape", [(3, 3), (5, 5), (4, 5), (2, 4, 3), (4,)])
+    def test_block_that_is_not_4x4_raises_value_error_naming_the_shape(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            lorentz_residual(np.ones(shape))
 
 
 class TestStackedSubgroup:
