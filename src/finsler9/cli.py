@@ -23,7 +23,7 @@ from .checks import CHECK_NAMES, all_passed, run_checks
 from .dynamics import invert_momenta
 from .exceptions import FinslerError
 from .geometry import cubic_form, group_action, vec_to_matrix
-from .minkowski import minkowski_norm_sq, solve_x8dot
+from .minkowski import assemble_velocity, minkowski_norm_sq
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -66,17 +66,11 @@ def _to_json(value):
     if isinstance(value, dict):
         items = ", ".join(f'"{k}": {_to_json(v)}' for k, v in value.items())
         return "{" + items + "}"
-    if isinstance(value, (list, tuple, np.ndarray)):
+    if isinstance(value, list):
         return "[" + ", ".join(_to_json(v) for v in value) + "]"
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _fmt(value)
-    if isinstance(value, str):
-        return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    raise TypeError(f"cannot render {type(value)!r}")
+    if isinstance(value, int):
+        return str(value)
+    return _fmt(value)
 
 
 def _parse_floats(tokens, what):
@@ -201,8 +195,8 @@ def _cmd_reduce4d(args):
     light_speed = float(_parse_floats([args.c], "--c")[0])
     if mass <= 0 or light_speed <= 0:
         raise UsageError("--mass and --c must be positive")
-    x8dot = float(solve_x8dot(xdot03, xdot47))
-    nine = np.concatenate([xdot03, xdot47, [x8dot]])
+    nine = assemble_velocity(xdot03, xdot47)
+    x8dot = float(nine[8])
     kappa = -mass * light_speed
     density_9 = kappa * float(np.cbrt(cubic_form(nine)))
     density_4 = kappa * float(np.sqrt(minkowski_norm_sq(xdot03)))

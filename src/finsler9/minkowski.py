@@ -77,8 +77,10 @@ def lorentz_residual(block):
     return _item(np.abs(np.swapaxes(block, -1, -2) @ g @ block - g).max(axis=(-2, -1)))
 
 
-def _timelike_norm_sq(x4):
-    q = minkowski_norm_sq(x4)
+def _timelike_norm_sq(xdot):
+    if not np.all(np.isfinite(xdot)):
+        raise NonTimelike("velocity parts must be finite")
+    q = minkowski_norm_sq(xdot[..., _VEC])
     if not np.all(q > 0.0):
         raise NonTimelike("the 4-velocity part must satisfy g(v, v) > 0")
     return q
@@ -88,32 +90,33 @@ def constraint_residual(xdot):
     """How far a 9-velocity is from the velocity constraint of the 4D limit.
 
     The constraint equates the cubic form with the 3/2 power of the
-    Minkowski norm of the 4-velocity part.  Requires a timelike 4-part.
+    Minkowski norm of the 4-velocity part.  Requires a finite velocity with
+    a timelike 4-part.
     """
     xdot = _stack(xdot, 9)
-    q = _timelike_norm_sq(xdot[..., _VEC])
+    q = _timelike_norm_sq(xdot)
     return cubic_form(xdot) - q**1.5
 
 
 def solve_x8dot(xdot03, xdot47):
-    """The unique ninth velocity closing the 4D-limit constraint.
+    """The ninth velocity closing the 4D-limit constraint; a float for one pair."""
+    return _item(assemble_velocity(xdot03, xdot47)[..., 8])
+
+
+def assemble_velocity(xdot03, xdot47):
+    """Full 9-velocity with the ninth component solved from the constraint.
 
     The cubic form is linear in the ninth velocity with coefficient equal
     to the (positive, timelike) Minkowski norm of the 4-velocity part, so
     the solution is the constraint's deficit at a zero ninth velocity over
-    that norm.  Broadcasts over leading axes.
+    that norm.  The parts broadcast over leading axes; non-finite parts or a
+    non-timelike 4-part raise :class:`NonTimelike`.
     """
     x4, s4 = np.broadcast_arrays(_stack(xdot03, 4), _stack(xdot47, 4))
-    q = _timelike_norm_sq(x4)
-    resting = np.concatenate([x4, s4, np.zeros_like(x4[..., :1])], axis=-1)
-    return (q**1.5 - cubic_form(resting)) / q
-
-
-def assemble_velocity(xdot03, xdot47):
-    """Full 9-velocity with the ninth component solved from the constraint."""
-    x4, s4 = _stack(xdot03, 4), _stack(xdot47, 4)
-    x8 = solve_x8dot(x4, s4)
-    return np.concatenate([x4, s4, x8[..., None]], axis=-1)
+    nine = np.concatenate([x4, s4, np.zeros_like(x4[..., :1])], axis=-1)
+    q = _timelike_norm_sq(nine)
+    nine[..., 8] = (q**1.5 - cubic_form(nine)) / q
+    return nine
 
 
 def reduced_action_check(tau, xdot4, spinor, mass, light_speed, kappa=None):
@@ -136,9 +139,8 @@ def reduced_action_check(tau, xdot4, spinor, mass, light_speed, kappa=None):
         raise ValueError("mass and light speed must be positive")
     kappa = np.asarray(-mass * light_speed if kappa is None else kappa, dtype=float)
     tau = np.asarray(tau, dtype=float)
-    xdot4, spinor = _stack(xdot4, 4), _stack(spinor, 4)
-    q = _timelike_norm_sq(xdot4)
     nine = assemble_velocity(xdot4, spinor)
+    q = minkowski_norm_sq(nine[..., _VEC])
     s_cubic = np.trapezoid(kappa[..., None] * np.cbrt(cubic_form(nine)), tau, axis=-1)
     s_mink = np.trapezoid(-(mass * light_speed)[..., None] * np.sqrt(q), tau, axis=-1)
     return _item(s_cubic), _item(s_mink)

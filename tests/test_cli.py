@@ -355,6 +355,16 @@ class TestTransform:
         assert code == 2
         assert err.startswith("NotUnimodular: |det - 1|")
 
+    def test_overflowing_matrix_exit_2_with_one_line(self, capsys):
+        entries = ["1e160", "0", "0", "0", "0", "0",
+                   "0", "0", "1e-160", "0", "0", "0",
+                   "0", "0", "0", "0", "1", "0"]
+        x = ["1", "0", "0", "0", "0", "0", "0", "0", "1"]
+        code, out, err = run(["transform", "--entries", *entries, "--x", *x], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("NonRealEntry: ") and err.count("\n") == 1
+
     def test_missing_matrix_file_exit_1(self, capsys, tmp_path):
         code, _, err = run(
             ["transform", "--matrix", str(tmp_path / "nope.txt"), "--x", *ZEROS9],

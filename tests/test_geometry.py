@@ -12,6 +12,7 @@ from finsler9 import (
     LAMBDA_DUAL,
     LAMBDA_MATRICES,
     CubicMetric,
+    NonRealEntry,
     NotHermitian,
     NotUnimodular,
     conjugation_action,
@@ -267,6 +268,17 @@ class TestGroupAction:
                      dtype=complex)
         ell = group_action(d)  # must not raise
         assert np.isrealobj(ell)
+
+    def test_overflowing_entries_raise_non_real_entry_without_a_warning(self):
+        # det d is exactly 1, but d lam d^+ overflows and inf * 0 leaves a
+        # NaN imaginary residue, which must fail the guard
+        d = np.diag([1e160, 1e-160, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonRealEntry, match="imaginary residue nan"):
+                group_action(d)
+            with pytest.raises(NonRealEntry):
+                group_action(np.stack([np.eye(3), d]))
 
     def test_random_unimodular_has_unit_determinant(self):
         rng = np.random.default_rng(41)

@@ -4,6 +4,9 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from finsler9 import (
@@ -376,3 +379,113 @@ class TestStackedSubgroup:
         assert_allclose(s_cubic, [r[0] for r in rows], rtol=1e-12, atol=0)
         assert_allclose(s_mink, [r[1] for r in rows], rtol=1e-12, atol=0)
         assert all(type(v) is float for v in rows[0])
+
+
+def same_bits(a, b):
+    """Equal shapes and equal bits, so that -0 differs from +0."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.reshape(-1).view(np.int64),
+                                                 b.reshape(-1).view(np.int64))
+
+
+def concatenated_solve_x8dot(xdot03, xdot47):
+    """``solve_x8dot`` as it was written before ``assemble_velocity`` owned the assembly."""
+    x4, s4 = np.broadcast_arrays(np.asarray(xdot03, dtype=float),
+                                 np.asarray(xdot47, dtype=float))
+    q = minkowski_norm_sq(x4)
+    resting = np.concatenate([x4, s4, np.zeros_like(x4[..., :1])], axis=-1)
+    return (q**1.5 - cubic_form(resting)) / q
+
+
+def concatenated_assemble_velocity(xdot03, xdot47):
+    """``assemble_velocity`` as it was written: equal-rank parts and the solved slot."""
+    x8 = concatenated_solve_x8dot(xdot03, xdot47)
+    return np.concatenate([xdot03, xdot47, x8[..., None]], axis=-1)
+
+
+@st.composite
+def broadcastable_timelike_parts(draw):
+    """A timelike ``(..., 4)`` velocity part and a spinor part that broadcast to a stack."""
+    shapes = draw(hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=3, max_side=3)
+                  .filter(lambda shapes: shapes.result_shape != ()))
+    shape03, shape47 = shapes.input_shapes
+    spatial = draw(hnp.arrays(float, shape03 + (3,), elements=st.floats(-2.0, 2.0)))
+    q = draw(hnp.arrays(float, shape03, elements=st.floats(0.25, 4.0)))
+    spinor = draw(hnp.arrays(float, shape47 + (4,), elements=st.floats(-1.0, 1.0)))
+    x0 = np.sqrt(q + np.sum(spatial**2, axis=-1))
+    return np.concatenate([x0[..., None], spatial], axis=-1), spinor
+
+
+def residual_with_ninth_one(x4, s4):
+    return constraint_residual(np.concatenate([x4, s4, [1.0]]))
+
+
+def reduced_action_on_a_curve(x4, s4):
+    xs, ss = np.tile(TIMELIKE, (3, 1)), np.tile(SPINOR, (3, 1))
+    xs[1], ss[1] = x4, s4
+    return reduced_action_check(np.linspace(0.0, 1.0, 3), xs, ss, 1.0, 1.0)
+
+
+class TestOneAssembly:
+    @pytest.mark.parametrize("shape03, shape47",
+                             [((3, 4), (4,)), ((4,), (2, 1, 4)), ((2, 1, 4), (3, 4))])
+    def test_parts_broadcast_like_per_pair_calls(self, shape03, shape47):
+        rng = np.random.default_rng(347)
+        count = int(np.prod(shape03[:-1]))
+        x4 = np.stack([random_timelike(rng)[0] for _ in range(count)]).reshape(shape03)
+        spinor = rng.uniform(-0.3, 0.3, size=shape47)
+        nine, x8 = assemble_velocity(x4, spinor), solve_x8dot(x4, spinor)
+        a, b = np.broadcast_arrays(x4, spinor)
+        assert nine.shape == a.shape[:-1] + (9,) and x8.shape == a.shape[:-1]
+        for idx in np.ndindex(a.shape[:-1]):
+            pair = a[idx][None], b[idx][None]
+            assert same_bits(nine[idx], assemble_velocity(*pair)[0])
+            assert same_bits(x8[idx], solve_x8dot(*pair)[0])
+            # an unstacked pair evaluates q**1.5 with numpy's scalar power,
+            # which may round differently from the array power of a stack
+            assert_allclose(assemble_velocity(a[idx], b[idx]), nine[idx], rtol=1e-15, atol=0)
+            assert_allclose(solve_x8dot(a[idx], b[idx]), x8[idx], rtol=1e-15, atol=0)
+
+    def test_matches_the_concatenated_oracle_bit_for_bit(self):
+        # oracle: passes at the concatenating implementation by construction
+        rng = np.random.default_rng(349)
+        x4, spinor = map(np.stack, zip(*(random_timelike(rng, 2.0) for _ in range(600))))
+        x4[::3, 1:] *= 1e-150
+        x4[2::12] *= 1e-150
+        spinor[::4] *= 1e150
+        spinor[1::4] *= 1e-150
+        spinor[::5, 2] = -0.0
+        x4[::6, 3] = -0.0
+        spinor[::7] = -0.0
+        assert same_bits(assemble_velocity(x4, spinor),
+                         concatenated_assemble_velocity(x4, spinor))
+        assert same_bits(solve_x8dot(x4, spinor), concatenated_solve_x8dot(x4, spinor))
+        for i in range(0, 600, 37):
+            assert same_bits(solve_x8dot(x4[i], spinor[i]),
+                             concatenated_solve_x8dot(x4[i], spinor[i]))
+
+    def test_one_pair_gives_a_python_float(self):
+        assert type(solve_x8dot(TIMELIKE, SPINOR)) is float
+
+    @pytest.mark.parametrize("x4, s4", [
+        (TIMELIKE, [0.5, np.nan, 0.5, 0.5]),
+        (TIMELIKE, [0.5, 0.5, -np.inf, 0.5]),
+        ([np.inf, 1.0, 0.0, 0.0], SPINOR),
+    ], ids=["nan_spinor", "inf_spinor", "inf_four_velocity"])
+    @pytest.mark.parametrize("call", [solve_x8dot, assemble_velocity,
+                                      residual_with_ninth_one, reduced_action_on_a_curve],
+                             ids=lambda call: call.__name__)
+    def test_non_finite_parts_raise_non_timelike(self, call, x4, s4):
+        with pytest.raises(NonTimelike, match="velocity parts must be finite"):
+            call(np.asarray(x4, dtype=float), np.asarray(s4, dtype=float))
+
+    @settings(derandomize=True, deadline=None)
+    @given(broadcastable_timelike_parts())
+    def test_assembly_is_per_row_and_closes_the_constraint(self, parts):
+        x4, spinor = parts
+        nine = assemble_velocity(x4, spinor)
+        a, b = np.broadcast_arrays(x4, spinor)
+        for idx in np.ndindex(nine.shape[:-1]):
+            assert same_bits(nine[idx], assemble_velocity(a[idx][None], b[idx][None])[0])
+        scale = np.maximum(1.0, minkowski_norm_sq(a) ** 1.5)
+        assert np.all(np.abs(constraint_residual(nine)) <= 1e-12 * scale)
