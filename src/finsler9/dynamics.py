@@ -58,8 +58,14 @@ def _check_kappa(kappa):
 
 
 def _nonisotropic_form(xdot):
-    """Cubic form of the velocity, or IsotropicVelocity if it is negligible."""
+    """Cubic form of the velocity, or IsotropicVelocity if it is negligible.
+
+    A row with an infinite or NaN entry counts as isotropic, before any
+    arithmetic on it.
+    """
     xdot = _stack(xdot, 9)
+    if not np.isfinite(xdot).all():  # a zero row is isotropic
+        xdot = np.where(np.isfinite(xdot).all(axis=-1, keepdims=True), xdot, 0.0)
     f = cubic_form(xdot)
     norm3 = np.linalg.norm(xdot, axis=-1) ** 3
     bad = ~(np.abs(f) >= ISOTROPY_EPS * norm3)  # NaN is bad too

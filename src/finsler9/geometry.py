@@ -56,8 +56,12 @@ _B = LAMBDA_MATRICES.view(float).reshape(9, 18)
 _B_DUAL = LAMBDA_DUAL.view(float).reshape(9, 18)
 
 
-#: Rows per BLAS call in the basis products.  Past about 2^20 multiply-adds
-#: (6 000 rows) OpenBLAS threads a product, several times slower on 2 cores.
+#: Rows per BLAS call in the basis products and the one-``d`` conjugation,
+#: and per block of the gradient table.  OpenBLAS threads a real product
+#: past about 2^20 multiply-adds (6 000 rows) and a complex ``(k, 3) @
+#: (3, 3)`` product from ``k`` near 7 300, and on 2 shared cores either can
+#: get 10-100x slower: one complex call took 0.1 ms at ``k = 7 200`` and
+#: 6-13 ms from ``k = 7 350`` to 60 000, the same rows in blocks 0.07-1 ms.
 _BLOCK_ROWS = 4096
 
 
@@ -80,7 +84,7 @@ def _rows_times(a, b):
     if a.size <= _BLOCK_ROWS * a.shape[-1]:
         return a @ b
     rows = a.reshape(-1, a.shape[-1])
-    out = np.empty((len(rows), b.shape[1]))
+    out = np.empty((len(rows), b.shape[1]), dtype=np.result_type(a, b))
     for start in range(0, len(rows), _BLOCK_ROWS):
         np.matmul(rows[start:start + _BLOCK_ROWS], b, out=out[start:start + _BLOCK_ROWS])
     return out.reshape(a.shape[:-1] + b.shape[1:])
@@ -167,13 +171,58 @@ def metric_coefficients():
     return G
 
 
+def _gradient_terms(dense):
+    """The nonzero ``(b, c, G_abc)`` of each component ``a`` as steps over all nine.
+
+    Step ``s`` holds component ``a``'s ``s``-th nonzero entry in C order of
+    ``(b, c)`` as index rows ``b``, ``c`` and a ``(9, 1)`` weight column;
+    components with fewer entries are padded with zero weights.
+    """
+    entries = [np.nonzero(dense[a]) for a in range(9)]
+    steps = max(len(b) for b, _ in entries)
+    b_rows = np.zeros((steps, 9), dtype=np.intp)
+    c_rows = np.zeros((steps, 9), dtype=np.intp)
+    weights = np.zeros((steps, 9, 1))
+    for a, (b, c) in enumerate(entries):
+        b_rows[:len(b), a], c_rows[:len(b), a] = b, c
+        weights[:len(b), a, 0] = dense[a, b, c]
+    return list(zip(b_rows, c_rows, weights))
+
+
+#: ``G``'s 60 nonzero entries as 8 steps of one term per component.
+_GRADIENT_TERMS = _gradient_terms(G._dense)
+
+#: Stacks of at least this many rows take the term table in
+#: :func:`_cubic_gradient`; below it the einsum is faster.
+_TABLE_ROWS = 64
+
+
 def _cubic_gradient(x):
     """Gradient ``3 G(x, x, .)`` of :func:`cubic_form`, shape ``(..., 9)``.
 
-    It is the sharp map: component ``a`` is ``tr(lambda_a adj X)``.
+    It is the sharp map: component ``a`` is ``tr(lambda_a adj X)``.  Small
+    stacks contract the dense ``G``.  Larger ones run ``acc += (w * x[b]) *
+    x[c]`` over ``_GRADIENT_TERMS`` from ``acc = 0``, ``_BLOCK_ROWS`` rows at
+    a time: the einsum's own order of terms, without its zero ones, so both
+    give the same bits for finite ``x``.
     """
     x = _stack(x, 9)
-    return 3.0 * np.einsum("abc,...b,...c->...a", G._dense, x, x)
+    if x.size < 9 * _TABLE_ROWS:
+        return 3.0 * np.einsum("abc,...b,...c->...a", G._dense, x, x)
+    rows = x.reshape(-1, 9)
+    out = np.empty(rows.shape)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN propagate, as in the einsum
+        for start in range(0, len(rows), _BLOCK_ROWS):
+            xt = rows[start:start + _BLOCK_ROWS].T.copy()
+            acc = np.zeros_like(xt)
+            for b, c, w in _GRADIENT_TERMS:  # in place: fewer fresh temporaries
+                term = xt[b]
+                term *= w
+                term *= xt[c]
+                acc += term
+            acc *= 3.0
+            out[start:start + _BLOCK_ROWS] = acc.T
+    return out.reshape(x.shape)
 
 
 def _basis_matrix(x, basis):
@@ -201,14 +250,28 @@ def matrix_to_vec(m, tol=HERMITIAN_TOL):
     exceeds ``tol`` or is not finite.
     """
     m = _stack(m, 3, 3, dtype=complex)
-    flat = np.ascontiguousarray(m).view(float).reshape(m.shape[:-2] + (18,))
+    entries = np.ascontiguousarray(m).reshape(m.shape[:-2] + (9,))
     # inf - inf is NaN, which fails the residue test; two entries near the
     # float limit sum to inf
     with np.errstate(over="ignore", invalid="ignore"):
-        residue = np.max(np.abs(m - np.conj(np.swapaxes(m, -1, -2))), initial=0.0)
+        residue = _hermitian_residue(entries)
         if not residue <= tol:
             raise NotHermitian(f"conjugate-symmetry residue {residue:.3e} exceeds {tol:.1e}")
-        return 0.5 * _rows_times(flat, _B_DUAL.T)
+        return 0.5 * _rows_times(entries.view(float), _B_DUAL.T)
+
+
+def _hermitian_residue(entries):
+    """Largest ``|m_ij - conj(m_ji)|`` of row-major 3x3 entries ``(..., 9)``.
+
+    Six of the nine values suffice, each row from its diagonal on: in the
+    other half of an off-diagonal pair the real part is the exact negative
+    and the imaginary part the same sum, so the modulus is the same.
+    """
+    gaps = np.empty(entries.shape[:-1] + (6,), dtype=complex)
+    np.subtract(entries[..., 0:3], np.conj(entries[..., 0:7:3]), out=gaps[..., 0:3])
+    np.subtract(entries[..., 4:6], np.conj(entries[..., 4:8:3]), out=gaps[..., 3:5])
+    np.subtract(entries[..., 8:], np.conj(entries[..., 8:]), out=gaps[..., 5:])
+    return np.max(np.abs(gaps), initial=0.0)
 
 
 def _require_unimodular(d, n=3):
@@ -252,8 +315,8 @@ def conjugation_action(d, x):
     d = _require_unimodular(d)
     m = d @ vec_to_matrix(x)
     d_adj = np.conj(np.swapaxes(d, -1, -2))
-    if d.ndim == 2:  # one (3n, 3) @ (3, 3) BLAS call for the right product, not n
-        m = (m.reshape(-1, 3) @ d_adj).reshape(m.shape)
+    if d.ndim == 2:  # (3n, 3) @ (3, 3) BLAS calls for the right product, not n
+        m = _rows_times(m.reshape(-1, 3), d_adj).reshape(m.shape)
     else:
         m = m @ d_adj
     m = 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))  # exact result is Hermitian

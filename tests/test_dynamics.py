@@ -1,6 +1,7 @@
 """Tests for the particle mechanics: momenta, inversion, straight lines."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -197,6 +198,26 @@ class TestLagrangian:
             func(xdot[1])
         with pytest.raises(IsotropicVelocity):
             func(xdot)
+
+    @pytest.mark.parametrize("func", [lagrangian, canonical_momenta, canonical_energy])
+    @pytest.mark.parametrize("slot", [0, 4, 8])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])  # NaN: test_rejects_nan_velocity
+    def test_infinite_velocity_raises_the_token_before_any_warning(self, func, slot, value):
+        xdot = np.stack([DIAG, DIAG, DIAG])
+        xdot[1, slot] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IsotropicVelocity, match=re.escape("(1 velocity sample(s))")):
+                func(xdot[1])
+            with pytest.raises(IsotropicVelocity, match=re.escape("(1 velocity sample(s))")):
+                func(xdot)
+
+    def test_non_finite_and_isotropic_rows_are_counted_together(self):
+        xdot = np.stack([DIAG] * 4)
+        xdot[0, 8] = np.inf
+        xdot[2] = np.zeros(9)
+        with pytest.raises(IsotropicVelocity, match=re.escape("(2 velocity sample(s))")):
+            canonical_momenta(xdot)
 
 
 class TestCanonicalMomenta:

@@ -15,6 +15,7 @@ from finsler9 import (
     NonRealEntry,
     NotHermitian,
     NotUnimodular,
+    canonical_momenta,
     conjugation_action,
     cubic_form,
     group_action,
@@ -22,9 +23,20 @@ from finsler9 import (
     metric_coefficients,
     momenta_matrix,
     random_unimodular,
+    unit_speed_velocity,
     vec_to_matrix,
 )
-from finsler9.geometry import _BLOCK_ROWS, HERMITIAN_TOL
+from finsler9.geometry import (
+    _BLOCK_ROWS,
+    _DUAL_SCALE,
+    _GRADIENT_TERMS,
+    _TABLE_ROWS,
+    G,
+    HERMITIAN_TOL,
+    _cubic_gradient,
+    _hermitian_residue,
+    _rows_times,
+)
 
 GELL_MANN = [
     np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex),
@@ -493,3 +505,144 @@ class TestBasisMapsAsRealProducts:
         with pytest.raises(NotHermitian):
             conjugation_action(random_unimodular(rng), x)
 
+
+def gradient_oracle(x):
+    """The gradient as the dense einsum over all 729 entries of ``G``."""
+    return 3.0 * np.einsum("abc,...b,...c->...a", G.as_dense(), x, x)
+
+
+class TestGradientTable:
+    """``G``'s nonzero entries as the gradient kernel of large stacks.
+
+    The tests that compare ``_cubic_gradient`` with ``gradient_oracle`` are
+    oracle tests: they hold for the einsum itself, and pin the table path
+    to it bit for bit, zero signs included.
+    """
+
+    def test_table_is_built_from_G_in_C_order(self):
+        rebuilt = np.zeros((9, 9, 9))
+        keys = [[] for _ in range(9)]
+        for b, c, w in _GRADIENT_TERMS:
+            for a in range(9):
+                if w[a, 0] != 0.0:
+                    rebuilt[a, b[a], c[a]] += w[a, 0]
+                    keys[a].append(9 * b[a] + c[a])
+        assert np.array_equal(rebuilt, G.as_dense())
+        assert all(k == sorted(set(k)) for k in keys)
+
+    def test_step_counts_and_weights(self):
+        weights = np.array([w[:, 0] for _, _, w in _GRADIENT_TERMS])  # (steps, 9)
+        assert weights.shape == (8, 9)
+        assert np.count_nonzero(weights, axis=0).tolist() == [6, 6, 6, 6, 8, 8, 8, 8, 4]
+        nonzero = weights[weights != 0.0]
+        assert np.all(np.abs(nonzero) == 1.0 / 3.0)
+        # the padding comes after each component's terms
+        for column in weights.T:
+            k = np.count_nonzero(column)
+            assert np.all(column[:k] != 0.0) and np.all(column[k:] == 0.0)
+
+    @pytest.mark.parametrize("n", [1, _TABLE_ROWS - 1, _TABLE_ROWS, _TABLE_ROWS + 1,
+                                   2500, _BLOCK_ROWS + 1, 100_000])
+    def test_equals_the_einsum_oracle(self, n):
+        x = np.random.default_rng(173).uniform(-1, 1, size=(n, 9))
+        assert_same_bits(_cubic_gradient(x), gradient_oracle(x))
+
+    def test_wide_scale_rows(self):
+        rng = np.random.default_rng(179)
+        x = rng.uniform(-1, 1, size=(100_000, 9)) * 10.0 ** rng.uniform(-50, 50, (100_000, 9))
+        assert_same_bits(_cubic_gradient(x), gradient_oracle(x))
+
+    def test_rows_of_negative_and_positive_zeros(self):
+        x = np.full((2 * _TABLE_ROWS, 9), -0.0)
+        x[::2, ::2] = 0.0
+        assert_same_bits(_cubic_gradient(x), gradient_oracle(x))
+        assert not np.any(np.signbit(_cubic_gradient(x)))
+
+    def test_dual_scaled_momenta(self):
+        p = canonical_momenta(unit_speed_velocity(np.random.default_rng(181), size=2500))
+        x = _DUAL_SCALE * p  # the input of invert_momenta's closed form
+        assert_same_bits(_cubic_gradient(x), gradient_oracle(x))
+
+    def test_overflowing_rows_match_the_oracle_without_warning(self):
+        x = wide_vectors(191, n=2 * _TABLE_ROWS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _cubic_gradient(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = gradient_oracle(x)
+        assert np.isinf(got).any()
+        assert np.array_equal(got, expected, equal_nan=True)
+
+    def test_stack_equals_per_row_calls(self):
+        x = np.random.default_rng(193).uniform(-1, 1, size=(4, 16, 9))
+        per_row = np.array([_cubic_gradient(row) for row in x.reshape(-1, 9)])
+        assert_same_bits(_cubic_gradient(x).reshape(per_row.shape), per_row)
+
+    def test_strided_stack(self):
+        x = np.random.default_rng(197).uniform(-1, 1, size=(9, 3 * _BLOCK_ROWS)).T
+        assert not x.flags.c_contiguous
+        assert_same_bits(_cubic_gradient(x), gradient_oracle(x))
+
+
+def hermitian_residue_oracle(m):
+    """The conjugate-symmetry residue over all nine entries of each matrix."""
+    return np.max(np.abs(m - np.conj(np.swapaxes(m, -1, -2))), initial=0.0)
+
+
+class TestHermitianResidue:
+    @pytest.mark.parametrize("n", [0, 1, 7, 2500])
+    def test_equals_the_nine_entry_residue(self, n):
+        rng = np.random.default_rng(211)
+        m = vec_to_matrix_oracle(rng.uniform(-1, 1, size=(n, 9)))
+        m = m + 1e-12 * (rng.normal(size=m.shape) + 1j * rng.normal(size=m.shape))
+        entries = m.reshape(n, 9)
+        assert _hermitian_residue(entries) == hermitian_residue_oracle(m)
+        for row, matrix in zip(entries[:20], m[:20]):
+            assert _hermitian_residue(row) == hermitian_residue_oracle(matrix)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(np.inf, 1.0),
+                                       complex(0.0, np.inf), complex(np.nan, 0.0)])
+    def test_non_finite_entries_give_the_same_residue(self, value):
+        m = vec_to_matrix_oracle(np.random.default_rng(223).uniform(-1, 1, size=(9, 9)))
+        for k in range(9):
+            m[k].flat[k] = value  # each entry position once
+        with np.errstate(invalid="ignore"):
+            expected = hermitian_residue_oracle(m)
+            got = _hermitian_residue(m.reshape(9, 9))
+            per_matrix = [(_hermitian_residue(a.reshape(9)), hermitian_residue_oracle(a))
+                          for a in m]
+        assert not expected <= HERMITIAN_TOL
+        assert np.array_equal(got, expected, equal_nan=True)
+        for a, b in per_matrix:
+            assert np.array_equal(a, b, equal_nan=True)
+
+    def test_message_names_the_nine_entry_residue(self):
+        rng = np.random.default_rng(227)
+        m = vec_to_matrix_oracle(rng.uniform(-1, 1, size=(50, 9)))
+        m[17, 2, 1] += 3e-9 - 2e-9j
+        m[30, 0, 0] += 1e-10j
+        expected = f"conjugate-symmetry residue {hermitian_residue_oracle(m):.3e} exceeds"
+        with pytest.raises(NotHermitian, match=re.escape(expected)):
+            matrix_to_vec(m)
+
+
+class TestBlockedComplexProduct:
+    def test_complex_operands_keep_their_dtype(self):
+        rng = np.random.default_rng(229)
+        rows = (2 * _BLOCK_ROWS + 5, 3)
+        a = rng.normal(size=rows) + 1j * rng.normal(size=rows)
+        b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        got = _rows_times(a, b)
+        assert got.dtype == complex
+        assert_same_bits(got, a @ b)
+
+    @pytest.mark.parametrize("n", [2427, 2500, 20_000])
+    def test_one_d_conjugation_equals_the_one_call_product(self, n):
+        rng = np.random.default_rng(233)
+        x = rng.uniform(-1, 1, size=(n, 9))
+        for _ in range(3):
+            d = random_unimodular(rng)
+            m = d @ vec_to_matrix(x)
+            m = (m.reshape(-1, 3) @ d.conj().T).reshape(m.shape)  # one BLAS call
+            m = 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
+            assert_same_bits(conjugation_action(d, x), matrix_to_vec(m))
