@@ -38,6 +38,7 @@ from .geometry import (
     conjugation_action,
     cubic_form,
     group_action,
+    matrix_to_vec,
     metric_coefficients,
     random_unimodular,
     vec_to_matrix,
@@ -127,8 +128,10 @@ def _chk_group_invariance(rng, trials):
 def _chk_action_equivalence(rng, trials):
     d = random_unimodular(rng, size=trials)
     x = rng.uniform(-1.0, 1.0, size=(trials, 9))
-    via_matrix = _apply(group_action(d), x)
-    via_conj = conjugation_action(d, x)
+    via_matrix = conjugation_action(d, x)
+    # the triple product d X d^+, hermitised: an independent path to the same vector
+    m = d @ vec_to_matrix(x) @ np.conj(np.swapaxes(d, -1, -2))
+    via_conj = matrix_to_vec(0.5 * (m + np.conj(np.swapaxes(m, -1, -2))))
     return _max_entry(via_matrix - via_conj) / np.maximum(_max_entry(via_conj), 1e-300)
 
 

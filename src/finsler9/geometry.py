@@ -56,12 +56,10 @@ _B = LAMBDA_MATRICES.view(float).reshape(9, 18)
 _B_DUAL = LAMBDA_DUAL.view(float).reshape(9, 18)
 
 
-#: Rows per BLAS call in the basis products and the one-``d`` conjugation,
-#: and per block of the gradient table.  OpenBLAS threads a real product
-#: past about 2^20 multiply-adds (6 000 rows) and a complex ``(k, 3) @
-#: (3, 3)`` product from ``k`` near 7 300, and on 2 shared cores either can
-#: get 10-100x slower: one complex call took 0.1 ms at ``k = 7 200`` and
-#: 6-13 ms from ``k = 7 350`` to 60 000, the same rows in blocks 0.07-1 ms.
+#: Rows per BLAS call in the real basis products, and per block of the
+#: gradient table.  OpenBLAS threads a real product past about 2^20
+#: multiply-adds (6 000 rows), and on 2 shared cores that can make it
+#: 10-100x slower.
 _BLOCK_ROWS = 4096
 
 
@@ -261,17 +259,9 @@ def matrix_to_vec(m, tol=HERMITIAN_TOL):
 
 
 def _hermitian_residue(entries):
-    """Largest ``|m_ij - conj(m_ji)|`` of row-major 3x3 entries ``(..., 9)``.
-
-    Six of the nine values suffice, each row from its diagonal on: in the
-    other half of an off-diagonal pair the real part is the exact negative
-    and the imaginary part the same sum, so the modulus is the same.
-    """
-    gaps = np.empty(entries.shape[:-1] + (6,), dtype=complex)
-    np.subtract(entries[..., 0:3], np.conj(entries[..., 0:7:3]), out=gaps[..., 0:3])
-    np.subtract(entries[..., 4:6], np.conj(entries[..., 4:8:3]), out=gaps[..., 3:5])
-    np.subtract(entries[..., 8:], np.conj(entries[..., 8:]), out=gaps[..., 5:])
-    return np.max(np.abs(gaps), initial=0.0)
+    """Largest ``|m_ij - conj(m_ji)|`` of row-major 3x3 entries ``(..., 9)``."""
+    m = entries.reshape(entries.shape[:-1] + (3, 3))
+    return np.max(np.abs(m - np.conj(np.swapaxes(m, -1, -2))), initial=0.0)
 
 
 def _require_unimodular(d, n=3):
@@ -308,19 +298,16 @@ def group_action(d):
 def conjugation_action(d, x):
     """Transform a 9-vector by conjugating its Hermitian representation.
 
-    Returns the 9-vector of ``d @ vec_to_matrix(x) @ d^+``; equals
-    ``group_action(d) @ x`` and broadcasts over leading axes.  A NaN or
-    infinite ``x`` raises :class:`NotHermitian`.
+    The 9-vector of ``d @ vec_to_matrix(x) @ d^+``, computed as the linear
+    map ``group_action(d)`` applied to ``x``; ``d`` and ``x`` broadcast
+    over leading axes.  A result with a NaN or infinite entry (a NaN or
+    infinite ``x``, or one whose image exceeds the float range) raises
+    :class:`NotHermitian`.
     """
-    d = _require_unimodular(d)
-    m = d @ vec_to_matrix(x)
-    d_adj = np.conj(np.swapaxes(d, -1, -2))
-    if d.ndim == 2:  # (3n, 3) @ (3, 3) BLAS calls for the right product, not n
-        m = _rows_times(m.reshape(-1, 3), d_adj).reshape(m.shape)
-    else:
-        m = m @ d_adj
-    m = 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))  # exact result is Hermitian
-    return matrix_to_vec(m)
+    out = np.einsum("...ab,...b->...a", group_action(d), _stack(x, 9))
+    if not np.isfinite(out).all():
+        raise NotHermitian("the conjugated vector has a non-finite entry")
+    return out
 
 
 def _rejection_sample(draw, accept, size):

@@ -109,10 +109,16 @@ def assemble_velocity(xdot03, xdot47):
     The cubic form is linear in the ninth velocity with coefficient equal
     to the (positive, timelike) Minkowski norm of the 4-velocity part, so
     the solution is the constraint's deficit at a zero ninth velocity over
-    that norm.  The parts broadcast over leading axes; non-finite parts or a
-    non-timelike 4-part raise :class:`NonTimelike`.
+    that norm.  The parts broadcast over leading axes (ValueError naming
+    both shapes if they do not); non-finite parts or a non-timelike 4-part
+    raise :class:`NonTimelike`.
     """
-    x4, s4 = np.broadcast_arrays(_stack(xdot03, 4), _stack(xdot47, 4))
+    x4, s4 = _stack(xdot03, 4), _stack(xdot47, 4)
+    try:
+        x4, s4 = np.broadcast_arrays(x4, s4)
+    except ValueError:
+        raise ValueError(f"velocity parts of shapes {x4.shape} and {s4.shape} "
+                         "do not broadcast") from None
     nine = np.concatenate([x4, s4, np.zeros_like(x4[..., :1])], axis=-1)
     q = _timelike_norm_sq(nine)
     nine[..., 8] = (q**1.5 - cubic_form(nine)) / q

@@ -58,3 +58,8 @@ def test_trial_counts_are_unchanged():
         expected = {"duality": 81, "stationarity": 5}.get(name, trials)
         assert entry["trials"] == expected, name
     assert sum(entry["trials"] for entry in report.values()) == 25 * trials + 81 + 5
+
+
+def test_action_equivalence_compares_two_computations():
+    # a residual of exactly 0 would mean both sides had become one computation
+    assert run_checks(seed=0, trials=50)["action_equivalence"]["worst_residual"] > 0

@@ -375,8 +375,15 @@ def matrix_to_vec_oracle(m):
 
 def conjugation_oracle(d, x):
     """``conjugation_action`` as ``d @ X @ d^+`` with the oracle maps."""
-    m = d @ vec_to_matrix_oracle(x) @ d.conj().T
+    m = d @ vec_to_matrix_oracle(x) @ np.conj(np.swapaxes(d, -1, -2))
     return matrix_to_vec_oracle(0.5 * (m + np.conj(np.swapaxes(m, -1, -2))))
+
+
+def assert_conjugation_is_the_group_action(d, x):
+    """``group_action(d)`` applied to ``x``, near the triple product."""
+    got = conjugation_action(d, x)
+    assert_same_bits(got, np.einsum("...ab,...b->...a", group_action(d), x))
+    assert_allclose(got, conjugation_oracle(d, x), rtol=0, atol=1e-14 * np.abs(got).max())
 
 
 def assert_same_bits(actual, expected):
@@ -472,15 +479,17 @@ class TestBasisMapsAsRealProducts:
     def test_one_d_conjugation_equals_the_plain_triple_product(self, shape):
         rng = np.random.default_rng(149)
         for _ in range(40):
-            d = random_unimodular(rng)
             x = rng.uniform(-10, 10, size=shape + (9,))
-            assert_same_bits(conjugation_action(d, x), conjugation_oracle(d, x))
+            # one d, and a stack of d broadcasting against the stack of x
+            for d in (random_unimodular(rng), random_unimodular(rng, size=shape[-1:] or 4)):
+                assert_conjugation_is_the_group_action(d, x)
 
     def test_one_d_conjugation_on_a_large_stack(self):
         rng = np.random.default_rng(151)
-        d = random_unimodular(rng)
-        x = rng.uniform(-1, 1, size=(2500, 9))
-        assert_same_bits(conjugation_action(d, x), conjugation_oracle(d, x))
+        x = rng.uniform(-1, 1, size=(100_000, 9))
+        for n in (2500, 100_000):
+            assert_conjugation_is_the_group_action(random_unimodular(rng), x[:n])
+        assert_conjugation_is_the_group_action(random_unimodular(rng, size=2500), x[:2500])
 
     @pytest.mark.parametrize("shape", [(9, 1), (1, 9), (3,), (2, 2), (), (4, 3, 2)])
     def test_matrix_to_vec_rejects_non_3x3_input_naming_the_shape(self, shape):
@@ -504,6 +513,44 @@ class TestBasisMapsAsRealProducts:
         x[4, 7] = np.nan
         with pytest.raises(NotHermitian):
             conjugation_action(random_unimodular(rng), x)
+
+
+class TestConjugationOfExtremeVectors:
+    def test_large_finite_vector_gives_its_finite_image_without_a_warning(self):
+        # the triple product d X d^+ overflowed here, though the image is finite
+        d = random_unimodular(np.random.default_rng(13))
+        x = np.full(9, 1e307)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = conjugation_action(d, x)
+            scaled = conjugation_action(d, 2.0**-10 * x)
+        assert np.all(np.isfinite(got)) and np.abs(got).max() > 7e307
+        assert_same_bits(got, 2.0**10 * scaled)  # power-of-two scaling is exact
+        assert_allclose(got, 2.0**10 * conjugation_oracle(d, 2.0**-10 * x),
+                        rtol=0, atol=1e-14 * np.abs(got).max())
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("stacked_d", [False, True])
+    def test_non_finite_rows_are_not_hermitian_without_a_warning(self, value, stacked_d):
+        rng = np.random.default_rng(239)
+        x = rng.uniform(-1, 1, size=(6, 9))
+        x[4, 7] = value
+        d = random_unimodular(rng, size=6 if stacked_d else None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotHermitian, match="non-finite entry"):
+                conjugation_action(d, x)
+            with pytest.raises(NotHermitian, match="non-finite entry"):
+                conjugation_action(d[0] if stacked_d else d, x[4])
+
+    def test_image_beyond_the_float_range_is_not_hermitian_without_a_warning(self):
+        d = random_unimodular(np.random.default_rng(2))
+        x = np.full(9, 1e307)
+        assert np.abs(conjugation_action(d, 2.0**-10 * x)).max() > np.finfo(float).max / 2.0**10
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotHermitian, match="non-finite entry"):
+                conjugation_action(d, x)
 
 
 def gradient_oracle(x):
@@ -635,14 +682,3 @@ class TestBlockedComplexProduct:
         got = _rows_times(a, b)
         assert got.dtype == complex
         assert_same_bits(got, a @ b)
-
-    @pytest.mark.parametrize("n", [2427, 2500, 20_000])
-    def test_one_d_conjugation_equals_the_one_call_product(self, n):
-        rng = np.random.default_rng(233)
-        x = rng.uniform(-1, 1, size=(n, 9))
-        for _ in range(3):
-            d = random_unimodular(rng)
-            m = d @ vec_to_matrix(x)
-            m = (m.reshape(-1, 3) @ d.conj().T).reshape(m.shape)  # one BLAS call
-            m = 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
-            assert_same_bits(conjugation_action(d, x), matrix_to_vec(m))

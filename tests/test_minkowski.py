@@ -479,6 +479,16 @@ class TestOneAssembly:
         with pytest.raises(NonTimelike, match="velocity parts must be finite"):
             call(np.asarray(x4, dtype=float), np.asarray(s4, dtype=float))
 
+    @pytest.mark.parametrize("call", [
+        assemble_velocity, solve_x8dot,
+        lambda x4, s4: reduced_action_check(np.linspace(0.0, 1.0, 4), x4, s4, 1.0, 1.0),
+    ], ids=["assemble_velocity", "solve_x8dot", "reduced_action_check"])
+    def test_parts_that_do_not_broadcast_name_both_shapes(self, call):
+        x4, spinor = np.tile(TIMELIKE, (3, 1)), np.tile(SPINOR, (2, 1))
+        expected = "velocity parts of shapes (3, 4) and (2, 4) do not broadcast"
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            call(x4, spinor)
+
     @settings(derandomize=True, deadline=None)
     @given(broadcastable_timelike_parts())
     def test_assembly_is_per_row_and_closes_the_constraint(self, parts):
