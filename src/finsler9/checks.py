@@ -111,9 +111,8 @@ def _chk_determinant_identity(rng, trials):
 
 
 def _chk_metric_contraction(rng, trials):
-    dense = metric_coefficients().as_dense()
     x = random_nonisotropic_velocity(rng, margin=1e-2, scale=10.0, size=trials)
-    full = np.einsum("abc,ta,tb,tc->t", dense, x, x, x)
+    full = metric_coefficients().contract(x)
     poly = cubic_form(x)
     return np.abs(full - poly) / np.abs(poly)
 

@@ -22,7 +22,7 @@ import numpy as np
 from .checks import CHECK_NAMES, all_passed, run_checks
 from .dynamics import invert_momenta
 from .exceptions import FinslerError
-from .geometry import cubic_form, group_action, vec_to_matrix
+from .geometry import conjugation_action, cubic_form, vec_to_matrix
 from .minkowski import assemble_velocity, minkowski_norm_sq
 
 EXIT_OK = 0
@@ -179,8 +179,7 @@ def _cmd_invert(args):
 def _cmd_transform(args):
     d = _read_matrix(args)
     x = _parse_floats(args.x, "--x")
-    ell = group_action(d)
-    moved = ell @ x
+    moved = conjugation_action(d, x)
     before, after = float(cubic_form(x)), float(cubic_form(moved))
     _emit(args, [f"X{a}p" for a in range(9)] + ["cubic_in", "cubic_out"],
           [*moved, before, after],

@@ -56,10 +56,9 @@ _B = LAMBDA_MATRICES.view(float).reshape(9, 18)
 _B_DUAL = LAMBDA_DUAL.view(float).reshape(9, 18)
 
 
-#: Rows per BLAS call in the real basis products, and per block of the
-#: gradient table.  OpenBLAS threads a real product past about 2^20
-#: multiply-adds (6 000 rows), and on 2 shared cores that can make it
-#: 10-100x slower.
+#: Rows per BLAS call in the real basis products.  OpenBLAS threads a real
+#: product past about 2^20 multiply-adds (6 000 rows), and on 2 shared cores
+#: that can make it 10-100x slower.
 _BLOCK_ROWS = 4096
 
 
@@ -78,11 +77,11 @@ def _item(r):
 
 
 def _rows_times(a, b):
-    """``a @ b`` for a ``(..., k)`` stack ``a``, ``_BLOCK_ROWS`` rows a BLAS call."""
+    """Real ``a @ b`` for a ``(..., k)`` stack ``a``, ``_BLOCK_ROWS`` rows a BLAS call."""
     if a.size <= _BLOCK_ROWS * a.shape[-1]:
         return a @ b
     rows = a.reshape(-1, a.shape[-1])
-    out = np.empty((len(rows), b.shape[1]), dtype=np.result_type(a, b))
+    out = np.empty((len(rows), b.shape[1]))
     for start in range(0, len(rows), _BLOCK_ROWS):
         np.matmul(rows[start:start + _BLOCK_ROWS], b, out=out[start:start + _BLOCK_ROWS])
     return out.reshape(a.shape[:-1] + b.shape[1:])
@@ -173,8 +172,9 @@ def _gradient_terms(dense):
     """The nonzero ``(b, c, G_abc)`` of each component ``a`` as steps over all nine.
 
     Step ``s`` holds component ``a``'s ``s``-th nonzero entry in C order of
-    ``(b, c)`` as index rows ``b``, ``c`` and a ``(9, 1)`` weight column;
-    components with fewer entries are padded with zero weights.
+    ``(b, c)``: index arrays ``b``, ``c`` of shape ``(steps, 9)`` and weights
+    ``w`` of shape ``(steps, 9, 1)``; components with fewer entries are
+    padded with zero weights.
     """
     entries = [np.nonzero(dense[a]) for a in range(9)]
     steps = max(len(b) for b, _ in entries)
@@ -184,42 +184,39 @@ def _gradient_terms(dense):
     for a, (b, c) in enumerate(entries):
         b_rows[:len(b), a], c_rows[:len(b), a] = b, c
         weights[:len(b), a, 0] = dense[a, b, c]
-    return list(zip(b_rows, c_rows, weights))
+    return b_rows, c_rows, weights
 
 
 #: ``G``'s 60 nonzero entries as 8 steps of one term per component.
 _GRADIENT_TERMS = _gradient_terms(G._dense)
 
-#: Stacks of at least this many rows take the term table in
-#: :func:`_cubic_gradient`; below it the einsum is faster.
-_TABLE_ROWS = 64
+#: Rows per block of :func:`_cubic_gradient`, so that its ``(8, 9, rows)``
+#: terms (288 KiB) stay in cache.
+_TERM_ROWS = 512
 
 
 def _cubic_gradient(x):
     """Gradient ``3 G(x, x, .)`` of :func:`cubic_form`, shape ``(..., 9)``.
 
-    It is the sharp map: component ``a`` is ``tr(lambda_a adj X)``.  Small
-    stacks contract the dense ``G``.  Larger ones run ``acc += (w * x[b]) *
-    x[c]`` over ``_GRADIENT_TERMS`` from ``acc = 0``, ``_BLOCK_ROWS`` rows at
-    a time: the einsum's own order of terms, without its zero ones, so both
-    give the same bits for finite ``x``.
+    It is the sharp map: component ``a`` is ``tr(lambda_a adj X)``.  Each
+    block of ``_TERM_ROWS`` rows forms the terms ``(w * x[b]) * x[c]`` of
+    ``_GRADIENT_TERMS`` at once and sums them step by step from ``+0``: the
+    dense einsum's own order, without its zero terms, so both give the same
+    bits for finite ``x``, and a stack gives the bits of its rows.
     """
     x = _stack(x, 9)
-    if x.size < 9 * _TABLE_ROWS:
-        return 3.0 * np.einsum("abc,...b,...c->...a", G._dense, x, x)
     rows = x.reshape(-1, 9)
     out = np.empty(rows.shape)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN propagate, as in the einsum
-        for start in range(0, len(rows), _BLOCK_ROWS):
-            xt = rows[start:start + _BLOCK_ROWS].T.copy()
-            acc = np.zeros_like(xt)
-            for b, c, w in _GRADIENT_TERMS:  # in place: fewer fresh temporaries
-                term = xt[b]
-                term *= w
-                term *= xt[c]
-                acc += term
+    b, c, w = _GRADIENT_TERMS
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN propagate
+        for start in range(0, len(rows), _TERM_ROWS):
+            xt = rows[start:start + _TERM_ROWS].T.copy()  # contiguous gathers
+            terms = xt[b]
+            terms *= w
+            terms *= xt[c]
+            acc = np.add.reduce(terms, axis=0, initial=0.0)
             acc *= 3.0
-            out[start:start + _BLOCK_ROWS] = acc.T
+            out[start:start + _TERM_ROWS] = acc.T
     return out.reshape(x.shape)
 
 

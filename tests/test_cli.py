@@ -1,6 +1,8 @@
 """Tests for the command line front end: formats, exit codes, determinism."""
 
 import json
+import pathlib
+import re
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -8,7 +10,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from finsler9 import canonical_momenta, cubic_form, invert_momenta, unit_speed_velocity
+from finsler9 import (
+    __version__,
+    canonical_momenta,
+    cubic_form,
+    invert_momenta,
+    unit_speed_velocity,
+)
 from finsler9.cli import CHUNK_ROWS, _fmt, _to_json, main
 
 DIAG_MOMENTA = ["-0.6666666666666666", "0", "0", "0", "0", "0", "0", "0",
@@ -365,6 +373,16 @@ class TestTransform:
         assert out == ""
         assert err.startswith("NonRealEntry: ") and err.count("\n") == 1
 
+    def test_image_beyond_the_float_range_exit_2_with_one_line(self, capsys):
+        entries = ["2", "0", "0", "0", "0", "0",
+                   "0", "0", "0.5", "0", "0", "0",
+                   "0", "0", "0", "0", "1", "0"]
+        x = ["1e308", "0", "0", "0", "0", "0", "0", "0", "1e308"]
+        code, out, err = run(["transform", "--entries", *entries, "--x", *x], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("NotHermitian: ") and err.count("\n") == 1
+
     def test_missing_matrix_file_exit_1(self, capsys, tmp_path):
         code, _, err = run(
             ["transform", "--matrix", str(tmp_path / "nope.txt"), "--x", *ZEROS9],
@@ -545,3 +563,9 @@ class TestTopLevel:
         )
         assert proc.returncode == 0
         assert proc.stdout.endswith("1,0,0,0,0,0,0,0,1,1\n")
+
+    def test_version_is_the_one_in_pyproject(self):
+        pyproject = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
+        declared = re.search(r'^version = "([^"]+)"$', pyproject.read_text(), re.MULTILINE)
+        assert declared is not None
+        assert __version__ == declared.group(1)

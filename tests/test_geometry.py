@@ -30,12 +30,11 @@ from finsler9.geometry import (
     _BLOCK_ROWS,
     _DUAL_SCALE,
     _GRADIENT_TERMS,
-    _TABLE_ROWS,
+    _TERM_ROWS,
     G,
     HERMITIAN_TOL,
     _cubic_gradient,
     _hermitian_residue,
-    _rows_times,
 )
 
 GELL_MANN = [
@@ -559,17 +558,19 @@ def gradient_oracle(x):
 
 
 class TestGradientTable:
-    """``G``'s nonzero entries as the gradient kernel of large stacks.
+    """``G``'s nonzero entries as the gradient kernel of every stack.
 
     The tests that compare ``_cubic_gradient`` with ``gradient_oracle`` are
-    oracle tests: they hold for the einsum itself, and pin the table path
-    to it bit for bit, zero signs included.
+    oracle tests: they hold for the einsum itself, and pin the kernel to it
+    bit for bit, zero signs included.
     """
 
     def test_table_is_built_from_G_in_C_order(self):
+        b_rows, c_rows, weights = _GRADIENT_TERMS
+        assert b_rows.shape == c_rows.shape == (8, 9) and weights.shape == (8, 9, 1)
         rebuilt = np.zeros((9, 9, 9))
         keys = [[] for _ in range(9)]
-        for b, c, w in _GRADIENT_TERMS:
+        for b, c, w in zip(b_rows, c_rows, weights):
             for a in range(9):
                 if w[a, 0] != 0.0:
                     rebuilt[a, b[a], c[a]] += w[a, 0]
@@ -578,7 +579,7 @@ class TestGradientTable:
         assert all(k == sorted(set(k)) for k in keys)
 
     def test_step_counts_and_weights(self):
-        weights = np.array([w[:, 0] for _, _, w in _GRADIENT_TERMS])  # (steps, 9)
+        weights = _GRADIENT_TERMS[2][..., 0]  # (steps, 9)
         assert weights.shape == (8, 9)
         assert np.count_nonzero(weights, axis=0).tolist() == [6, 6, 6, 6, 8, 8, 8, 8, 4]
         nonzero = weights[weights != 0.0]
@@ -588,7 +589,7 @@ class TestGradientTable:
             k = np.count_nonzero(column)
             assert np.all(column[:k] != 0.0) and np.all(column[k:] == 0.0)
 
-    @pytest.mark.parametrize("n", [1, _TABLE_ROWS - 1, _TABLE_ROWS, _TABLE_ROWS + 1,
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, _TERM_ROWS - 1, _TERM_ROWS, _TERM_ROWS + 1,
                                    2500, _BLOCK_ROWS + 1, 100_000])
     def test_equals_the_einsum_oracle(self, n):
         x = np.random.default_rng(173).uniform(-1, 1, size=(n, 9))
@@ -600,7 +601,7 @@ class TestGradientTable:
         assert_same_bits(_cubic_gradient(x), gradient_oracle(x))
 
     def test_rows_of_negative_and_positive_zeros(self):
-        x = np.full((2 * _TABLE_ROWS, 9), -0.0)
+        x = np.full((128, 9), -0.0)
         x[::2, ::2] = 0.0
         assert_same_bits(_cubic_gradient(x), gradient_oracle(x))
         assert not np.any(np.signbit(_cubic_gradient(x)))
@@ -611,7 +612,7 @@ class TestGradientTable:
         assert_same_bits(_cubic_gradient(x), gradient_oracle(x))
 
     def test_overflowing_rows_match_the_oracle_without_warning(self):
-        x = wide_vectors(191, n=2 * _TABLE_ROWS)
+        x = wide_vectors(191, n=128)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = _cubic_gradient(x)
@@ -624,6 +625,18 @@ class TestGradientTable:
         x = np.random.default_rng(193).uniform(-1, 1, size=(4, 16, 9))
         per_row = np.array([_cubic_gradient(row) for row in x.reshape(-1, 9)])
         assert_same_bits(_cubic_gradient(x).reshape(per_row.shape), per_row)
+
+    @pytest.mark.parametrize("n", [5, 63, 64, 65, _TERM_ROWS - 1, _TERM_ROWS, _TERM_ROWS + 1,
+                                   2500])
+    def test_stack_with_inf_and_nan_rows_equals_per_row_calls(self, n):
+        x = np.random.default_rng(199).uniform(-1, 1, size=(n, 9))
+        for k in range(0, n, 2):  # every entry position, the last row included
+            x[k, k % 9] = [np.inf, -np.inf, np.nan][k % 3]
+        got = _cubic_gradient(x)
+        per_row = np.array([_cubic_gradient(row) for row in x])
+        nan = np.isnan(per_row)
+        assert np.array_equal(np.isnan(got), nan)
+        assert_same_bits(got[~nan], per_row[~nan])
 
     def test_strided_stack(self):
         x = np.random.default_rng(197).uniform(-1, 1, size=(9, 3 * _BLOCK_ROWS)).T
@@ -671,14 +684,3 @@ class TestHermitianResidue:
         expected = f"conjugate-symmetry residue {hermitian_residue_oracle(m):.3e} exceeds"
         with pytest.raises(NotHermitian, match=re.escape(expected)):
             matrix_to_vec(m)
-
-
-class TestBlockedComplexProduct:
-    def test_complex_operands_keep_their_dtype(self):
-        rng = np.random.default_rng(229)
-        rows = (2 * _BLOCK_ROWS + 5, 3)
-        a = rng.normal(size=rows) + 1j * rng.normal(size=rows)
-        b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        got = _rows_times(a, b)
-        assert got.dtype == complex
-        assert_same_bits(got, a @ b)
