@@ -20,7 +20,6 @@ from .exceptions import (
     InconsistentMomenta,
     IsotropicVelocity,
     NonMonotone,
-    NonRealEntry,
     NotUnitSpeed,
     SingularMomentumMatrix,
 )
@@ -30,8 +29,10 @@ from .geometry import (
     _basis_matrix,
     _cubic_gradient,
     _item,
+    _monomial_terms,
     _rejection_sample,
     _stack,
+    G,
     cubic_form,
     matrix_to_vec,
     vec_to_matrix,
@@ -48,6 +49,28 @@ ISOTROPY_EPS = 1e-9
 UNIT_SPEED_TOL = 1e-9
 CONSTRAINT_ADMISSION_TOL = 1e-8
 SINGULARITY_TOL = 1e-12
+
+#: ``det N = cubic_form(D p)`` as ``G``'s 16 monomials in the momenta, with
+#: ``D`` folded into their weights.
+_DET_TERMS = _monomial_terms(G._dense, _DUAL_SCALE)
+
+#: Higham's ``gamma_8 = 8u / (1 - 8u)``, ``u = 2^-53``.  A plain monomial
+#: rounds twice and the sum by halves of 16 rounds four times, so the plain
+#: ``det N`` is within ``gamma_6 S``; two more cover the rounding of ``S``
+#: and of the threshold it is compared with.  It also bounds the
+#: compensated sum's ``gamma^2 S``.
+_GAMMA = 8 * 2.0**-53 / (1 - 8 * 2.0**-53)
+
+#: The plain ``det N`` stands where ``gamma_8 S`` is at most this times
+#: ``|2 kappa / 3|^3``: 1e5 below ``CONSTRAINT_ADMISSION_TOL``.
+_PLAIN_DET_TOL = 1e-13
+
+#: Rows per block of ``det N``, so that its ``(16, rows)`` terms (128 KiB)
+#: stay in cache.
+_DET_ROWS = 1024
+
+#: Veltkamp's splitting constant ``2^27 + 1`` for float64.
+_SPLITTER = 2.0**27 + 1.0
 
 
 def _check_kappa(kappa):
@@ -96,7 +119,7 @@ def canonical_momenta(xdot, kappa=DEFAULT_KAPPA):
     """
     kappa = _check_kappa(kappa)
     f = _nonisotropic_form(xdot)
-    return (kappa / 3.0) * _cubic_gradient(xdot) / (np.cbrt(f) ** 2)[..., None]
+    return (kappa / 3.0) * _cubic_gradient(xdot) / np.square(np.cbrt(f))[..., None]
 
 
 def canonical_energy(xdot, kappa=DEFAULT_KAPPA):
@@ -133,24 +156,101 @@ def matrix_identity_residual(xdot, kappa=DEFAULT_KAPPA):
     return _item(np.abs(lhs - rhs).max(axis=(-2, -1)))
 
 
+def _halves(t):
+    """Sum over the first axis of a ``(2^k, ...)`` array, by halves."""
+    while len(t) > 1:
+        t = t[:len(t) // 2] + t[len(t) // 2:]
+    return t[0]
+
+
+def _split(x):
+    """Veltkamp's split ``x = hi + lo``, each half of at most 26 bits."""
+    t = _SPLITTER * x
+    hi = t - (t - x)
+    return hi, x - hi
+
+
+def _two_product(a, b, a_halves, b_halves):
+    """``a * b`` and its rounding error, exactly (Dekker), from the halves of ``a`` and ``b``."""
+    (ah, al), (bh, bl) = a_halves, b_halves
+    p = a * b
+    return p, al * bl - (((p - ah * bh) - al * bh) - ah * bl)
+
+
+def _two_sum(a, b):
+    """``a + b`` and its rounding error, exactly (Knuth)."""
+    s = a + b
+    z = s - a
+    return s, (a - (s - z)) + (b - z)
+
+
+def _plain_det(rows):
+    """Plain sum ``det N`` of ``(k, 9)`` momenta rows, and ``S``, its terms' magnitudes summed."""
+    a, b, c, w = _DET_TERMS
+    x = rows.T.copy()  # contiguous gathers
+    terms = x[a]
+    terms *= w
+    terms *= x[b]
+    terms *= x[c]
+    return _halves(terms), _halves(np.abs(terms, out=terms))
+
+
+def _compensated_det(rows):
+    """``det N`` of ``(k, 9)`` momenta rows from exact monomials and a compensated sum.
+
+    Each monomial is ``w (p2 + e2 + e1 x_c)`` with ``x_a x_b = p1 + e1``
+    and ``p1 x_c = p2 + e2`` exact; the ``w p2`` are summed by halves with
+    their exact errors, which join the ``e`` parts in a plain sum (Ogita,
+    Rump and Oishi's Dot2).
+    """
+    a, b, c, w = _DET_TERMS
+    x = rows.T.copy()
+    hi, lo = _split(x)
+    xc = x[c]
+    p1, e1 = _two_product(x[a], x[b], (hi[a], lo[a]), (hi[b], lo[b]))
+    p2, e2 = _two_product(p1, xc, _split(p1), (hi[c], lo[c]))
+    s, q = w * p2, w * (e2 + e1 * xc)
+    while len(s) > 1:
+        half = len(s) // 2
+        s, e = _two_sum(s[:half], s[half:])
+        q = q[:half] + q[half:] + e
+    return s[0] + q[0]
+
+
 def momentum_constraint_residual(p, kappa=DEFAULT_KAPPA):
     """``det`` of the momentum matrix minus ``(2 kappa / 3)^3``.
 
     ``p`` has shape ``(..., 9)``; the result has shape ``(...)`` (a float
-    for a single vector).  Vanishes on momenta generated by a unit-speed
-    velocity; externally supplied momenta must keep it within
-    ``1e-8 * |2 kappa / 3|^3`` to be admitted by :func:`invert_momenta`.
+    for a single vector), and a stack gives the bits of its rows.
+    Vanishes on momenta generated by a unit-speed velocity; externally
+    supplied momenta must keep it within ``1e-8 * |2 kappa / 3|^3`` to be
+    admitted by :func:`invert_momenta`.
+
+    Accuracy: ``det N`` is ``cubic_form(D p)``, summed in real arithmetic
+    from its 16 monomials ``w p_a p_b p_c`` (``w`` exactly +-1 or +-2).
+    With ``S`` the sum of their magnitudes and ``u = 2^-53``, a row keeps
+    the plain sum when ``gamma_8 S <= 1e-13 |2 kappa / 3|^3``, and that
+    bounds its error.  Any other row is recomputed with exact products and
+    a compensated sum, whose error is at most ``u |det N| + gamma_8^2 S``.
+    Both hold while no product underflows, and entries and products of two
+    stay below ``2^996`` in magnitude.  A row with an infinite or NaN
+    entry, or whose monomials overflow, gives a non-finite value.
     """
     kappa = _check_kappa(kappa)
     p = _stack(p, 9)
-    with np.errstate(invalid="ignore"):  # NaN rows fail admission in invert_momenta
-        det = np.linalg.det(momenta_matrix(p))
-    scale = np.maximum(1.0, np.linalg.norm(p, axis=-1) ** 3)
-    excess = np.abs(det.imag) - 1e-12 * scale
-    if np.any(excess > 0):
-        worst = det.imag.flat[np.argmax(excess)]
-        raise NonRealEntry(f"determinant imaginary part {worst:.3e}")
-    return _item(det.real - (2.0 * kappa / 3.0) ** 3)
+    c3 = (2.0 * kappa / 3.0) ** 3
+    rows = p.reshape(-1, 9)
+    det, size = np.empty(len(rows)), np.empty(len(rows))
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN rows fail admission in invert_momenta
+        for start in range(0, len(rows), _DET_ROWS):
+            block = slice(start, start + _DET_ROWS)
+            det[block], size[block] = _plain_det(rows[block])
+        # a NaN or infinite S takes the compensated pass too
+        redo = np.flatnonzero(~(size <= _PLAIN_DET_TOL * abs(c3) / _GAMMA))
+        for start in range(0, len(redo), _DET_ROWS):
+            block = redo[start:start + _DET_ROWS]
+            det[block] = _compensated_det(rows[block])
+    return _item((det - c3).reshape(p.shape[:-1]))
 
 
 def invert_momenta(p, kappa=DEFAULT_KAPPA, method="adjugate"):
@@ -307,9 +407,12 @@ def discrete_action(tau, positions, kappa=DEFAULT_KAPPA):
     """Trapezoid action of a sampled curve with finite-difference velocities.
 
     ``positions`` has shape ``(..., samples, 9)``; the result has shape
-    ``(...)``, one action per curve (a float for a single curve).
+    ``(...)``, one action per curve (a float for a single curve).  Fewer
+    than 2 samples raise :class:`DegeneratePath`.
     """
     tau = np.asarray(tau, dtype=float)
+    if tau.ndim != 1 or len(tau) < 2:
+        raise DegeneratePath(f"need a 1-d grid of at least 2 samples, got shape {tau.shape}")
     vel = np.gradient(np.asarray(positions, dtype=float), tau, axis=-2)
     return _item(np.trapezoid(lagrangian(vel, kappa), tau))
 

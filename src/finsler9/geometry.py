@@ -190,6 +190,22 @@ def _gradient_terms(dense):
 #: ``G``'s 60 nonzero entries as 8 steps of one term per component.
 _GRADIENT_TERMS = _gradient_terms(G._dense)
 
+
+def _monomial_terms(dense, scale):
+    """The cubic form at ``scale * x`` as monomials ``w x[a] x[b] x[c]``.
+
+    One monomial per nonzero entry at a non-decreasing triple, in C order:
+    index arrays ``a``, ``b``, ``c`` of shape ``(terms,)`` and weights
+    ``w`` of shape ``(terms, 1)``, the entry times its number of distinct
+    index orders and the three scales.  For ``G`` these are 3 or 6 times
+    ``+-1/3`` and powers of two, which round to exactly ``+-1`` or ``+-2``.
+    """
+    a, b, c = np.array(list(_sorted_entries(dense))).T
+    orders = np.where(a == c, 1, np.where((a == b) | (b == c), 3, 6))
+    weights = orders * dense[a, b, c] * scale[a] * scale[b] * scale[c]
+    return a, b, c, weights[:, None]
+
+
 #: Rows per block of :func:`_cubic_gradient`, so that its ``(8, 9, rows)``
 #: terms (288 KiB) stay in cache.
 _TERM_ROWS = 512

@@ -296,6 +296,14 @@ class TestInvert:
         assert code == 2
         assert err.startswith("InconsistentMomenta:")
 
+    def test_overflowing_momenta_print_one_token_line(self):
+        # a subprocess, so that a RuntimeWarning would reach stderr as text
+        momenta = [fmt17(1e110 * float(x)) for x in DIAG_MOMENTA]
+        proc = subprocess.run([sys.executable, "-m", "finsler9", "invert", "--momenta", *momenta],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("InconsistentMomenta: ") and proc.stderr.count("\n") == 1
+
 
 class TestTransform:
     IDENTITY_18 = ["1", "0", "0", "0", "0", "0",

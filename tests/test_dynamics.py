@@ -1,13 +1,19 @@
 """Tests for the particle mechanics: momenta, inversion, straight lines."""
 
+import itertools
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import finsler9.dynamics
 from finsler9 import (
+    LAMBDA_DUAL,
     LAMBDA_MATRICES,
     DegeneratePath,
     InconsistentMomenta,
@@ -37,6 +43,7 @@ from finsler9 import (
     unit_speed_velocity,
     vec_to_matrix,
 )
+from finsler9.dynamics import _DET_TERMS, _GAMMA, _PLAIN_DET_TOL
 from finsler9.geometry import G, _cubic_gradient, matrix_to_vec, metric_coefficients
 
 DIAG = np.array([1.0, 0, 0, 0, 0, 0, 0, 0, 1.0])
@@ -758,3 +765,172 @@ class TestStackedMechanics:
         p[1, 4] = np.nan
         with pytest.raises(InconsistentMomenta):
             invert_momenta(p)
+
+
+def same_bits(a, b):
+    """Equal shapes and equal bits, so that -0 differs from +0 and NaN equals NaN."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.reshape(-1).view(np.int64),
+                                                 b.reshape(-1).view(np.int64))
+
+
+def exact_momentum_det(p):
+    """``det N`` of one momentum row in exact rational arithmetic.
+
+    The entries of ``N = sum_a p_a LAMBDA_DUAL[a]`` are formed as pairs of
+    Fractions (real, imaginary), so no entry rounds, and the determinant is
+    the Leibniz sum over the six permutations.
+    """
+    coeffs = [Fraction(x) for x in p]
+    n = [[(sum(coeffs[a] * int(LAMBDA_DUAL[a, i, j].real) for a in range(9)),
+           sum(coeffs[a] * int(LAMBDA_DUAL[a, i, j].imag) for a in range(9)))
+          for j in range(3)] for i in range(3)]
+
+    def times(u, v):
+        return u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0]
+
+    total = Fraction(0)
+    for perm in itertools.permutations(range(3)):
+        sign = np.linalg.det(np.eye(3)[list(perm)])
+        term = times(times(n[0][perm[0]], n[1][perm[1]]), n[2][perm[2]])
+        total += int(round(sign)) * term[0]
+    return total
+
+
+def near_cone_velocities(rng, n, low=2e-9, high=1e-3):
+    """Unit-speed velocities with ``|f| / |x|^3`` spread from ``low`` to ``high``.
+
+    The cubic form is affine in ``x8``, so solving for ``x8`` places a draw at
+    a chosen distance from the isotropic cone before it is rescaled.
+    """
+    x = rng.uniform(-1.0, 1.0, size=(n, 9))
+    x[:, 8] = 0.0
+    rest = cubic_form(x)
+    slope = x[:, 0] ** 2 - x[:, 1] ** 2 - x[:, 2] ** 2 - x[:, 3] ** 2
+    target = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(np.log10(low), np.log10(high), n)
+    x[:, 8] = (target * np.linalg.norm(x, axis=1) ** 3 - rest) / slope
+    ratio = np.abs(cubic_form(x)) / np.linalg.norm(x, axis=1) ** 3
+    x = x[(ratio >= 1.1e-9) & (np.abs(slope) > 1e-2)]
+    return x / np.cbrt(cubic_form(x))[:, None]
+
+
+class TestConstraintInRealArithmetic:
+    """``det N`` from ``G``'s 16 monomials, compensated where its bound asks."""
+
+    KAPPA = -1.0
+    C3 = (2.0 * KAPPA / 3.0) ** 3
+
+    @staticmethod
+    def sample(seed=601):
+        """About 300 momenta: unit-speed, near the cone, and group-transformed."""
+        rng = np.random.default_rng(seed)
+        unit = canonical_momenta(unit_speed_velocity(rng, size=100))
+        near = canonical_momenta(near_cone_velocities(rng, 110)[:100])
+        ell = group_action(random_unimodular(rng, size=100))
+        moved = transform_momenta(ell, canonical_momenta(unit_speed_velocity(rng, size=100)))
+        return np.concatenate([unit, near, moved])
+
+    @staticmethod
+    def plain_bound(p):
+        """``gamma_8 S``, the error bound of the plain sum."""
+        a, b, c, w = _DET_TERMS
+        size = np.abs(w[:, 0] * p[:, a] * p[:, b] * p[:, c]).sum(axis=1)
+        return _GAMMA * size
+
+    def test_sample_reaches_the_cone_and_both_sides_of_the_gate(self):
+        rng = np.random.default_rng(601)
+        v = near_cone_velocities(rng, 2000)
+        ratio = np.abs(cubic_form(v)) / np.linalg.norm(v, axis=1) ** 3
+        assert ratio.min() < 1e-8 and ratio.max() > 1e-4
+        redo = self.plain_bound(self.sample()) > _PLAIN_DET_TOL * abs(self.C3)
+        assert 20 <= np.count_nonzero(redo) <= 280
+
+    def test_every_row_is_within_the_documented_bound_and_beats_lu(self):
+        p = self.sample()
+        exact = [exact_momentum_det(row) - Fraction(self.C3) for row in p]
+        got = momentum_constraint_residual(p, self.KAPPA)
+        lu = np.linalg.det(momenta_matrix(p)).real - self.C3
+        err = np.array([abs(float(Fraction(r) - e)) for r, e in zip(got.tolist(), exact)])
+        lu_err = np.array([abs(float(Fraction(r) - e)) for r, e in zip(lu.tolist(), exact)])
+        u = 2.0**-53
+        det = np.abs(got + self.C3)
+        size = self.plain_bound(p) / _GAMMA
+        # the plain rows are within tau, the others within u |det| + gamma^2 S;
+        # u |residual| more covers the subtraction of c^3
+        bound = (np.maximum(_PLAIN_DET_TOL * abs(self.C3), u * det + _GAMMA**2 * size)
+                 + u * np.abs(got))
+        assert np.all(err <= bound)
+        assert err.max() <= lu_err.max()
+
+    def test_calls_no_lapack_and_builds_no_complex_matrix(self, monkeypatch):
+        p = self.sample()
+        expected = momentum_constraint_residual(p)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the constraint must not reach this routine")
+
+        monkeypatch.setattr(np.linalg, "det", refuse)
+        monkeypatch.setattr(finsler9.dynamics, "momenta_matrix", refuse)
+        monkeypatch.setattr(finsler9.dynamics, "_basis_matrix", refuse)
+        assert same_bits(momentum_constraint_residual(p), expected)
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(n=st.sampled_from([1, 5, 511, 512, 513, 2500]),
+           seed=st.integers(0, 2**32 - 1), share=st.floats(0.0, 1.0))
+    def test_stack_equals_per_row_calls(self, n, seed, share):
+        rng = np.random.default_rng(seed)
+        p = canonical_momenta(unit_speed_velocity(rng, size=n))
+        near = rng.random(n) < share
+        far = canonical_momenta(near_cone_velocities(rng, 3 * n + 10))
+        p[near] = far[:np.count_nonzero(near)]
+        got = momentum_constraint_residual(p)
+        assert same_bits(got, [momentum_constraint_residual(row) for row in p])
+        redo = self.plain_bound(p) > _PLAIN_DET_TOL * abs(self.C3)
+        if n >= 511 and 0.01 < share < 0.99:  # both sides of the gate are exercised
+            assert redo.any() and not redo.all()
+
+    OVERFLOWING = {
+        "1e110": lambda p: 1e110 * p,
+        "1e300": lambda p: 1e300 * p,
+        "nan": lambda p: np.where(np.arange(9) == 4, np.nan, p),
+        "inf": lambda p: np.where(np.arange(9) == 0, np.inf, p),
+    }
+
+    @pytest.mark.parametrize("name", sorted(OVERFLOWING))
+    def test_non_finite_determinants_raise_the_token_without_warnings(self, name):
+        p = canonical_momenta(unit_speed_velocity(np.random.default_rng(607), size=5))
+        p[2] = self.OVERFLOWING[name](p[2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(momentum_constraint_residual(p[2]))
+            for momenta in (p[2], p):
+                with pytest.raises(InconsistentMomenta, match="residual nan exceeds"):
+                    invert_momenta(momenta)
+            residuals = momentum_constraint_residual(p)
+        assert np.isnan(residuals[2]) and np.isfinite(np.delete(residuals, 2)).all()
+
+
+class TestCanonicalMomentaBits:
+    def test_stack_equals_per_row_calls_bit_for_bit(self):
+        # cubic forms of both signs and away from 1, where a one-vector
+        # ``cbrt(f) ** 2`` used to round apart from the stack's
+        v = random_nonisotropic_velocity(np.random.default_rng(613), size=3000)
+        stacked = canonical_momenta(v)
+        assert same_bits(stacked, [canonical_momenta(row) for row in v])
+
+
+class TestDiscreteActionSamples:
+    @pytest.mark.parametrize("samples", [0, 1])
+    def test_fewer_than_two_samples_raise_degenerate_path(self, samples):
+        tau = np.linspace(0.0, 1.0, samples)
+        with pytest.raises(DegeneratePath, match="at least 2 samples"):
+            discrete_action(tau, np.zeros((samples, 9)))
+
+    def test_stacked_curve_of_one_sample_raises_degenerate_path(self):
+        with pytest.raises(DegeneratePath, match=re.escape("got shape (1,)")):
+            discrete_action(np.zeros(1), np.ones((3, 1, 9)))
+
+    def test_two_samples_still_give_an_action(self):
+        tau = np.array([0.0, 1.0])
+        positions = np.stack([np.zeros(9), DIAG])
+        assert discrete_action(tau, positions) == pytest.approx(-1.0)

@@ -35,6 +35,7 @@ from finsler9.geometry import (
     HERMITIAN_TOL,
     _cubic_gradient,
     _hermitian_residue,
+    _monomial_terms,
 )
 
 GELL_MANN = [
@@ -642,6 +643,30 @@ class TestGradientTable:
         x = np.random.default_rng(197).uniform(-1, 1, size=(9, 3 * _BLOCK_ROWS)).T
         assert not x.flags.c_contiguous
         assert_same_bits(_cubic_gradient(x), gradient_oracle(x))
+
+
+class TestMonomialTable:
+    """``G``'s 16 monomials, the terms of the momentum constraint ``cubic_form(D p)``."""
+
+    @staticmethod
+    def as_dict(terms):
+        a, b, c, w = terms
+        assert w.shape == (len(a), 1)
+        return {(int(i), int(j), int(k)): float(v) for i, j, k, v in zip(a, b, c, w[:, 0])}
+
+    def test_unscaled_table_is_the_hand_typed_polynomial(self):
+        assert self.as_dict(_monomial_terms(G._dense, np.ones(9))) == dict(_MONOMIALS)
+
+    def test_dual_scale_doubles_the_terms_of_x8(self):
+        scaled = self.as_dict(_monomial_terms(G._dense, _DUAL_SCALE))
+        assert scaled == {t: v * (2.0 if 8 in t else 1.0) for t, v in _MONOMIALS}
+        assert sorted(set(np.abs(list(scaled.values())))) == [1.0, 2.0]
+
+    def test_terms_sum_to_the_cubic_form_at_the_scaled_vector(self):
+        x = np.random.default_rng(211).uniform(-1, 1, size=(500, 9))
+        a, b, c, w = _monomial_terms(G._dense, _DUAL_SCALE)
+        total = (w[:, 0] * x[:, a] * x[:, b] * x[:, c]).sum(axis=1)
+        assert_allclose(total, cubic_form(_DUAL_SCALE * x), rtol=0, atol=1e-14)
 
 
 def hermitian_residue_oracle(m):
