@@ -21,7 +21,7 @@ import numpy as np
 
 from .checks import CHECK_NAMES, all_passed, run_checks
 from .dynamics import invert_momenta
-from .exceptions import FinslerError
+from .exceptions import FinslerError, NonRealEntry
 from .geometry import conjugation_action, cubic_form, vec_to_matrix
 from .minkowski import assemble_velocity, minkowski_norm_sq
 
@@ -180,7 +180,10 @@ def _cmd_transform(args):
     d = _read_matrix(args)
     x = _parse_floats(args.x, "--x")
     moved = conjugation_action(d, x)
-    before, after = float(cubic_form(x)), float(cubic_form(moved))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the test below
+        before, after = float(cubic_form(x)), float(cubic_form(moved))
+    if not np.isfinite([before, after]).all():
+        raise NonRealEntry("the cubic form is beyond the float range")
     _emit(args, [f"X{a}p" for a in range(9)] + ["cubic_in", "cubic_out"],
           [*moved, before, after],
           {"x_out": list(moved), "cubic_in": before, "cubic_out": after})

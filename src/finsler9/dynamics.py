@@ -11,6 +11,7 @@ is the same map at ``D p``, ``D = diag(1, ..., 1, 2)``; both run through
 one broadcasting kernel in real arithmetic.
 """
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,9 +28,12 @@ from .geometry import (
     _B_DUAL,
     _DUAL_SCALE,
     _basis_matrix,
+    _by_blocks,
     _cubic_gradient,
+    _halves,
     _item,
     _monomial_terms,
+    _products,
     _rejection_sample,
     _stack,
     G,
@@ -64,10 +68,6 @@ _GAMMA = 8 * 2.0**-53 / (1 - 8 * 2.0**-53)
 #: The plain ``det N`` stands where ``gamma_8 S`` is at most this times
 #: ``|2 kappa / 3|^3``: 1e5 below ``CONSTRAINT_ADMISSION_TOL``.
 _PLAIN_DET_TOL = 1e-13
-
-#: Rows per block of ``det N``, so that its ``(16, rows)`` terms (128 KiB)
-#: stay in cache.
-_DET_ROWS = 1024
 
 #: Veltkamp's splitting constant ``2^27 + 1`` for float64.
 _SPLITTER = 2.0**27 + 1.0
@@ -156,13 +156,6 @@ def matrix_identity_residual(xdot, kappa=DEFAULT_KAPPA):
     return _item(np.abs(lhs - rhs).max(axis=(-2, -1)))
 
 
-def _halves(t):
-    """Sum over the first axis of a ``(2^k, ...)`` array, by halves."""
-    while len(t) > 1:
-        t = t[:len(t) // 2] + t[len(t) // 2:]
-    return t[0]
-
-
 def _split(x):
     """Veltkamp's split ``x = hi + lo``, each half of at most 26 bits."""
     t = _SPLITTER * x
@@ -184,27 +177,21 @@ def _two_sum(a, b):
     return s, (a - (s - z)) + (b - z)
 
 
-def _plain_det(rows):
-    """Plain sum ``det N`` of ``(k, 9)`` momenta rows, and ``S``, its terms' magnitudes summed."""
-    a, b, c, w = _DET_TERMS
-    x = rows.T.copy()  # contiguous gathers
-    terms = x[a]
-    terms *= w
-    terms *= x[b]
-    terms *= x[c]
-    return _halves(terms), _halves(np.abs(terms, out=terms))
+def _plain_det(x, terms):
+    """Plain sum ``det N`` of ``(9, m)`` momenta rows, and ``S``, its terms' magnitudes summed."""
+    t = _products(x, terms)
+    return _halves(t), _halves(np.abs(t, out=t))
 
 
-def _compensated_det(rows):
-    """``det N`` of ``(k, 9)`` momenta rows from exact monomials and a compensated sum.
+def _compensated_det(x, terms):
+    """``det N`` of ``(9, m)`` momenta rows from exact monomials and a compensated sum.
 
     Each monomial is ``w (p2 + e2 + e1 x_c)`` with ``x_a x_b = p1 + e1``
     and ``p1 x_c = p2 + e2`` exact; the ``w p2`` are summed by halves with
     their exact errors, which join the ``e`` parts in a plain sum (Ogita,
     Rump and Oishi's Dot2).
     """
-    a, b, c, w = _DET_TERMS
-    x = rows.T.copy()
+    a, b, c, w = terms
     hi, lo = _split(x)
     xc = x[c]
     p1, e1 = _two_product(x[a], x[b], (hi[a], lo[a]), (hi[b], lo[b]))
@@ -240,16 +227,12 @@ def momentum_constraint_residual(p, kappa=DEFAULT_KAPPA):
     p = _stack(p, 9)
     c3 = (2.0 * kappa / 3.0) ** 3
     rows = p.reshape(-1, 9)
-    det, size = np.empty(len(rows)), np.empty(len(rows))
-    with np.errstate(over="ignore", invalid="ignore"):  # NaN rows fail admission in invert_momenta
-        for start in range(0, len(rows), _DET_ROWS):
-            block = slice(start, start + _DET_ROWS)
-            det[block], size[block] = _plain_det(rows[block])
-        # a NaN or infinite S takes the compensated pass too
-        redo = np.flatnonzero(~(size <= _PLAIN_DET_TOL * abs(c3) / _GAMMA))
-        for start in range(0, len(redo), _DET_ROWS):
-            block = redo[start:start + _DET_ROWS]
-            det[block] = _compensated_det(rows[block])
+    # inf and NaN propagate: such rows fail admission in invert_momenta
+    det, size = _by_blocks(_plain_det, _DET_TERMS, rows, np.empty((2, len(rows))))
+    # a NaN or infinite S takes the compensated pass too
+    redo = np.flatnonzero(~(size <= _PLAIN_DET_TOL * abs(c3) / _GAMMA))
+    if len(redo):
+        det[redo] = _by_blocks(_compensated_det, _DET_TERMS, rows[redo], np.empty(len(redo)))
     return _item((det - c3).reshape(p.shape[:-1]))
 
 
@@ -307,10 +290,14 @@ def transform_momenta(transform, p):
     Momenta transform with the inverse transpose so that the pairing
     ``P . X`` is preserved.  A ``(..., 9, 9)`` stack of transforms
     broadcasts against ``(..., 9)`` momenta; any other shape raises
-    ValueError naming it.
+    ValueError naming it.  A singular transform, or one with a NaN or
+    infinite entry, raises :class:`SingularMomentumMatrix`.
     """
     transpose = np.swapaxes(_stack(transform, 9, 9), -1, -2)
-    return np.linalg.solve(transpose, _stack(p, 9)[..., None])[..., 0]
+    if np.isfinite(transpose).all():
+        with contextlib.suppress(np.linalg.LinAlgError):
+            return np.linalg.solve(transpose, _stack(p, 9)[..., None])[..., 0]
+    raise SingularMomentumMatrix("the momentum transform is singular or not finite")
 
 
 def _require_unit_speed(v0):

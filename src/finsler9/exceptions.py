@@ -23,7 +23,7 @@ class NotUnimodular(FinslerError):
 
 
 class NonRealEntry(FinslerError):
-    """A quantity that must be real carries an imaginary residue above tolerance."""
+    """A real quantity is not finite: an entry of the group action, or a cubic form."""
 
 
 class IsotropicVelocity(FinslerError):
@@ -35,7 +35,7 @@ class InconsistentMomenta(FinslerError):
 
 
 class SingularMomentumMatrix(FinslerError):
-    """The momentum matrix is numerically singular and cannot be inverted."""
+    """The momentum matrix, or a transform of momenta, cannot be inverted."""
 
 
 class NotUnitSpeed(FinslerError):

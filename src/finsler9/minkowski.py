@@ -95,7 +95,7 @@ def constraint_residual(xdot):
     """
     xdot = _stack(xdot, 9)
     q = _timelike_norm_sq(xdot)
-    return cubic_form(xdot) - q**1.5
+    return cubic_form(xdot) - np.asarray(q) ** 1.5  # the array power, as in a stack
 
 
 def solve_x8dot(xdot03, xdot47):
@@ -121,7 +121,7 @@ def assemble_velocity(xdot03, xdot47):
                          "do not broadcast") from None
     nine = np.concatenate([x4, s4, np.zeros_like(x4[..., :1])], axis=-1)
     q = _timelike_norm_sq(nine)
-    nine[..., 8] = (q**1.5 - cubic_form(nine)) / q
+    nine[..., 8] = (np.asarray(q) ** 1.5 - cubic_form(nine)) / q  # the array power, as in a stack
     return nine
 
 

@@ -391,6 +391,16 @@ class TestTransform:
         assert out == ""
         assert err.startswith("NotHermitian: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("scale", ["1e103", "1e200"])
+    def test_cubic_form_beyond_the_float_range_prints_one_token_line(self, scale):
+        # a subprocess, so that a RuntimeWarning would reach stderr as text
+        x = [scale, "0", "0", "0", "0", "0", "0", "0", scale]
+        proc = subprocess.run([sys.executable, "-m", "finsler9", "transform",
+                               "--entries", *self.IDENTITY_18, "--x", *x],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "NonRealEntry: the cubic form is beyond the float range\n"
+
     def test_missing_matrix_file_exit_1(self, capsys, tmp_path):
         code, _, err = run(
             ["transform", "--matrix", str(tmp_path / "nope.txt"), "--x", *ZEROS9],

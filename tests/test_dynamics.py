@@ -934,3 +934,28 @@ class TestDiscreteActionSamples:
         tau = np.array([0.0, 1.0])
         positions = np.stack([np.zeros(9), DIAG])
         assert discrete_action(tau, positions) == pytest.approx(-1.0)
+
+
+class TestSingularTransform:
+    """A transform that cannot carry momenta raises a token, with no numpy warning."""
+
+    BAD = {
+        "zero": lambda t: np.zeros((9, 9)),
+        "rank_8": lambda t: t @ np.diag([1.0] * 8 + [0.0]),
+        "nan": lambda t: np.where(np.eye(9, dtype=bool), np.nan, t),
+        "inf": lambda t: np.where(np.arange(81).reshape(9, 9) == 40, np.inf, t),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BAD))
+    def test_one_transform_or_a_stack_raises_the_token(self, name):
+        rng = np.random.default_rng(613)
+        p = canonical_momenta(unit_speed_velocity(rng, size=4))
+        ell = group_action(random_unimodular(rng, size=4))
+        ell[2] = self.BAD[name](ell[2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for transform, momenta in ((ell[2], p[2]), (ell, p), (ell[2], p)):
+                with pytest.raises(SingularMomentumMatrix, match="singular or not finite"):
+                    transform_momenta(transform, momenta)
+            moved = transform_momenta(np.delete(ell, 2, axis=0), np.delete(p, 2, axis=0))
+        assert np.isfinite(moved).all()

@@ -3,9 +3,12 @@
 import itertools
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from finsler9 import (
@@ -18,6 +21,7 @@ from finsler9 import (
     canonical_momenta,
     conjugation_action,
     cubic_form,
+    embed_sl2,
     group_action,
     matrix_to_vec,
     metric_coefficients,
@@ -26,8 +30,11 @@ from finsler9 import (
     unit_speed_velocity,
     vec_to_matrix,
 )
+from finsler9.checks import CHECKS
 from finsler9.geometry import (
+    _ACTION_TERMS,
     _BLOCK_ROWS,
+    _CACHE_TERMS,
     _DUAL_SCALE,
     _GRADIENT_TERMS,
     _TERM_ROWS,
@@ -287,7 +294,7 @@ class TestGroupAction:
         d = np.diag([1e160, 1e-160, 1.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NonRealEntry, match="imaginary residue nan"):
+            with pytest.raises(NonRealEntry, match="the action has a non-finite entry"):
                 group_action(d)
             with pytest.raises(NonRealEntry):
                 group_action(np.stack([np.eye(3), d]))
@@ -709,3 +716,118 @@ class TestHermitianResidue:
         expected = f"conjugate-symmetry residue {hermitian_residue_oracle(m):.3e} exceeds"
         with pytest.raises(NotHermitian, match=re.escape(expected)):
             matrix_to_vec(m)
+
+
+def einsum_action(d):
+    """The action as two complex einsums, ``d lam[b] d^+`` paired with the dual basis."""
+    m = np.einsum("...ij,bjk,...lk->...bil", d, LAMBDA_MATRICES, d.conj())
+    return (0.5 * np.einsum("aij,...bji->...ab", LAMBDA_DUAL, m)).real
+
+
+def exact_action(d):
+    """``Re tr(dual[a] d lam[b] d^+) / 2`` of one ``d`` and the documented bound on its error.
+
+    Both exact, as ``(9, 9)`` Fractions: the bound is
+    ``gamma_4 tr(|dual[a]| |d|_1 |lam[b]| |d|_1^T) / 2`` with ``|d|_1 = |Re d| + |Im d|``.
+    """
+    parts = [Fraction(v) for v in np.ascontiguousarray(d).view(float).ravel()]
+    den = max(f.denominator for f in parts)  # powers of two: every other one divides it
+    re, im = (np.array([int(f * den) for f in parts[s::2]], dtype=object).reshape(3, 3)
+              for s in (0, 1))
+    d1 = np.abs(re) + np.abs(im)
+
+    def ints(a):
+        return a.astype(int).astype(object)
+
+    exact, bound = np.empty((2, 9, 9), dtype=object)
+    gamma4 = Fraction(4, 2**53 - 4)
+    for b, lam in enumerate(LAMBDA_MATRICES):
+        ar = re @ ints(lam.real) - im @ ints(lam.imag)  # d lam[b]
+        ai = re @ ints(lam.imag) + im @ ints(lam.real)
+        mr, mi = ar @ re.T + ai @ im.T, ai @ re.T - ar @ im.T  # times d^+
+        size = d1 @ ints(np.abs(lam)) @ d1.T
+        for a, dual in enumerate(LAMBDA_DUAL):
+            trace = np.sum(ints(dual.real) * mr.T) - np.sum(ints(dual.imag) * mi.T)
+            exact[a, b] = Fraction(int(trace), 2 * den * den)
+            total = np.sum(ints(np.abs(dual)) * size.T)
+            bound[a, b] = gamma4 * Fraction(int(total), 2 * den * den)
+    return exact, bound
+
+
+def quadratic_forms_of_the_trace():
+    """The symmetric ``(81, 18, 18)`` forms of the trace formula, by polarisation at unit ``z``."""
+    def ell(z):
+        d = np.asarray(z, dtype=float).view(complex).reshape(3, 3)
+        return einsum_action(d).reshape(81)  # exact: entries are small integers
+
+    unit = np.eye(18)
+    diag = np.array([ell(u) for u in unit])  # (18, 81)
+    forms = np.zeros((81, 18, 18))
+    for p, q in itertools.combinations_with_replacement(range(18), 2):
+        value = diag[p] if p == q else (ell(unit[p] + unit[q]) - diag[p] - diag[q]) / 2
+        forms[:, p, q] = forms[:, q, p] = value
+    return forms
+
+
+ACTION_ROWS = _CACHE_TERMS // _ACTION_TERMS[-1].size
+
+
+class TestActionTable:
+    """``group_action`` as the 314 terms of ``_ACTION_TERMS``, summed by halves."""
+
+    def test_table_is_the_trace_formula_of_the_two_bases(self):
+        p_rows, q_rows, weights = _ACTION_TERMS
+        rebuilt = np.zeros((81, 18, 18))
+        for p, q, w in zip(p_rows, q_rows, weights[..., 0]):
+            for entry in range(81):
+                if w[entry] != 0.0:
+                    assert p[entry] <= q[entry]
+                    rebuilt[entry, p[entry], q[entry]] += w[entry] / 2
+                    rebuilt[entry, q[entry], p[entry]] += w[entry] / 2
+        assert np.array_equal(rebuilt, quadratic_forms_of_the_trace())
+
+    def test_terms_steps_and_weights(self):
+        p_rows, q_rows, weights = _ACTION_TERMS
+        assert p_rows.shape == q_rows.shape == (8, 81) and weights.shape == (8, 81, 1)
+        nonzero = weights[weights != 0.0]
+        assert nonzero.size == 314
+        assert set(np.abs(nonzero).tolist()) == {0.5, 1.0, 2.0}
+        for column in weights[..., 0].T:  # the padding comes after each entry's terms
+            k = np.count_nonzero(column)
+            assert np.all(column[:k] != 0.0) and np.all(column[k:] == 0.0)
+        assert ACTION_ROWS == 56 and _TERM_ROWS == 512
+
+    def test_entries_are_within_the_documented_bound_of_an_exact_reference(self):
+        rng = np.random.default_rng(389)
+        scaled = random_unimodular(rng, size=50)
+        scaled *= np.array([1e5, 1e-5, 1.0])[:, None] * np.array([1e-5, 1.0, 1e5])
+        sample = np.concatenate([random_unimodular(rng, size=100), scaled,
+                                 embed_sl2(random_unimodular(rng, n=2, size=50))])
+        table, einsum = group_action(sample), einsum_action(sample)
+        worst = {"table": 0.0, "einsum": 0.0}
+        for d, ell, ell_einsum in zip(sample, table, einsum):
+            exact, bound = exact_action(d)
+            err = np.vectorize(lambda got, ref: abs(Fraction(got) - ref), otypes=[object])
+            table_err, einsum_err = err(ell, exact), err(ell_einsum, exact)
+            assert np.all(table_err <= bound)
+            scale = float(np.max(np.abs(exact)))
+            worst["table"] = max(worst["table"], float(np.max(table_err)) / scale)
+            worst["einsum"] = max(worst["einsum"], float(np.max(einsum_err)) / scale)
+        print(f"max entry error over max |ell|, {len(sample)} d: "
+              f"table {worst['table']:.3e}, einsum {worst['einsum']:.3e}")
+        assert worst["table"] <= 1.1 * worst["einsum"], worst
+
+    @pytest.mark.parametrize("n", [1, 5, ACTION_ROWS - 1, ACTION_ROWS, ACTION_ROWS + 1, 2500])
+    @settings(derandomize=True, deadline=None, max_examples=3)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_stack_equals_per_matrix_calls(self, n, seed):
+        d = random_unimodular(np.random.default_rng(seed), size=n)
+        assert_same_bits(group_action(d), np.array([group_action(m) for m in d]))
+        assert_same_bits(group_action(d.reshape(1, n, 3, 3))[0], group_action(d))
+
+    @pytest.mark.parametrize("name", ["block_structure", "scalar_invariance"])
+    def test_embedded_checks_are_exactly_zero(self, name):
+        index, spec = next((i, spec) for i, spec in enumerate(CHECKS) if spec.name == name)
+        for seed in range(3):  # each trial of run_checks(seed, 500)
+            residuals = spec.fn(np.random.default_rng([seed, index]), 500)
+            assert np.all(residuals == 0.0)

@@ -499,3 +499,29 @@ class TestOneAssembly:
             assert same_bits(nine[idx], assemble_velocity(a[idx][None], b[idx][None])[0])
         scale = np.maximum(1.0, minkowski_norm_sq(a) ** 1.5)
         assert np.all(np.abs(constraint_residual(nine)) <= 1e-12 * scale)
+
+
+class TestArrayPowerForOnePair:
+    """``q**1.5`` goes through numpy's array power for one pair as for a stack."""
+
+    def pairs(self, n=3000):
+        rng = np.random.default_rng(353)
+        spatial = rng.uniform(-0.5, 0.5, size=(n, 3))
+        q = rng.uniform(0.2, 4.0, size=n)
+        x4 = np.concatenate([np.sqrt(q + np.sum(spatial**2, axis=-1))[:, None], spatial], axis=-1)
+        return x4, rng.uniform(-0.5, 0.5, size=(n, 4))
+
+    def test_one_pair_gives_the_bits_of_its_row_in_a_stack(self):
+        x4, spinor = self.pairs()
+        nine, x8 = assemble_velocity(x4, spinor), solve_x8dot(x4, spinor)
+        for i in range(len(x4)):
+            assert same_bits(assemble_velocity(x4[i], spinor[i]), nine[i])
+            assert same_bits(solve_x8dot(x4[i], spinor[i]), x8[i])
+
+    def test_one_velocity_gives_the_bits_of_its_row_in_a_stack(self):
+        x4, spinor = self.pairs()
+        nine = assemble_velocity(x4, spinor)
+        nine[:, 8] += np.random.default_rng(359).uniform(-0.1, 0.1, size=len(nine))
+        residuals = constraint_residual(nine)
+        for row, expected in zip(nine, residuals):
+            assert same_bits(constraint_residual(row), expected)
