@@ -218,10 +218,7 @@ def _chk_stationarity(rng, trials):
     profile = np.zeros_like(z)
     profile[inside] = np.exp(-1.0 / (z[inside] * (1.0 - z[inside])))
     bumps = profile[None, :, None] * np.eye(9)[[0, 1, 4, 6, 8], None, :]
-    return np.array([
-        abs(dynamics.action_stationarity_check(traj, bump, amplitudes) - 2.0)
-        for bump in bumps
-    ])
+    return np.abs(dynamics.action_stationarity_check(traj, bumps, amplitudes) - 2.0)
 
 
 def _chk_momentum_covariance(rng, trials):

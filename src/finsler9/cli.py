@@ -146,6 +146,7 @@ def _write_trajectory(handle, fmt, kappa, x0, v0, s_values):
         row, sep, tail = _JSON_ROW, ", ", "]}\n"
     for start in range(0, len(s_values), CHUNK_ROWS):
         s = s_values[start:start + CHUNK_ROWS]
+        # not Trajectory.at: invert_momenta admits velocities that fail its unit-speed test
         rows = np.column_stack([s, x0 + s[:, None] * v0]).tolist()
         text = sep.join([row % tuple(r) for r in rows])
         handle.write(sep + text if start else text)

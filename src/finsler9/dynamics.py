@@ -257,8 +257,10 @@ def invert_momenta(p, kappa=DEFAULT_KAPPA, method="adjugate"):
     Returns
     -------
     ndarray, shape (..., 9)
-        Velocities with unit-determinant Hermitian matrix; feeding them
-        back to :func:`canonical_momenta` reproduces ``p``.
+        Velocities ``adj(N) / c^2``, ``c = 2 kappa / 3``, whose cubic form
+        ``(det N / c^3)^2`` misses 1 by up to about ``2e-8`` at the admission
+        edge and by more near the isotropic cone, so :class:`Trajectory` may
+        refuse them.  :func:`canonical_momenta` maps them back to ``p`` to that order.
     """
     kappa = _check_kappa(kappa)
     p = _stack(p, 9)
@@ -290,13 +292,15 @@ def transform_momenta(transform, p):
     Momenta transform with the inverse transpose so that the pairing
     ``P . X`` is preserved.  A ``(..., 9, 9)`` stack of transforms
     broadcasts against ``(..., 9)`` momenta; any other shape raises
-    ValueError naming it.  A singular transform, or one with a NaN or
-    infinite entry, raises :class:`SingularMomentumMatrix`.
+    ValueError naming it.  A singular or non-finite transform, or solved
+    momenta that are not all finite, raise :class:`SingularMomentumMatrix`.
     """
     transpose = np.swapaxes(_stack(transform, 9, 9), -1, -2)
     if np.isfinite(transpose).all():
         with contextlib.suppress(np.linalg.LinAlgError):
-            return np.linalg.solve(transpose, _stack(p, 9)[..., None])[..., 0]
+            moved = np.linalg.solve(transpose, _stack(p, 9)[..., None])[..., 0]
+            if np.isfinite(moved).all():
+                return moved
     raise SingularMomentumMatrix("the momentum transform is singular or not finite")
 
 
@@ -316,10 +320,7 @@ def general_solution(x0, v0, s):
     ``v0`` must satisfy the unit-determinant condition; ``s`` may be a
     scalar or an array of arc-length values (of either sign).
     """
-    x0 = _stack(x0, 9)
-    v0 = _require_unit_speed(v0)
-    s = np.asarray(s, dtype=float)
-    return x0 + s[..., None] * v0
+    return Trajectory(x0, v0).at(s)
 
 
 @dataclass(frozen=True)
@@ -339,28 +340,33 @@ class Trajectory:
         object.__setattr__(self, "s_range", (0.0, float(s_f)))
 
     def at(self, s):
-        return general_solution(self.x0, self.v0, s)
+        """Point(s) ``x0 + s * v0`` at a scalar or an array of arc lengths ``s``."""
+        return self.x0 + np.asarray(s, dtype=float)[..., None] * self.v0
 
     def sample(self, n):
         s = np.linspace(0.0, self.s_range[1], n)
         return s, self.at(s)
 
 
+def _grid(tau, k):
+    """``tau`` as a float grid, or DegeneratePath unless it is 1-d with ``k`` samples or more."""
+    tau = np.asarray(tau, dtype=float)
+    if tau.ndim != 1 or len(tau) < k:
+        raise DegeneratePath(f"need a 1-d grid of at least {k} samples, got shape {tau.shape}")
+    return tau
+
+
 def arc_length(tau, positions):
     """Cumulative cubic-norm length of a sampled curve.
 
     Velocities are finite differences (central in the interior, one-sided
-    second order at the ends), the integrand is the real cube root of
+    first order at the ends), the integrand is the real cube root of
     their cubic form, and the running integral is a composite trapezoid
     starting at 0.  Every sample must be nonisotropic, and ``tau`` must be
     a 1-d grid of at least 3 samples (otherwise :class:`DegeneratePath`).
     """
-    tau = np.asarray(tau, dtype=float)
+    tau = _grid(tau, 3)
     positions = np.asarray(positions, dtype=float)
-    if tau.ndim != 1:
-        raise DegeneratePath(f"tau must be a 1-d grid of samples, got shape {tau.shape}")
-    if len(tau) < 3:
-        raise DegeneratePath(f"need at least 3 samples, got {len(tau)}")
     vel = np.gradient(positions, tau, axis=0)
     speed = np.cbrt(_nonisotropic_form(vel))
     steps = np.diff(tau) * 0.5 * (speed[1:] + speed[:-1])
@@ -376,9 +382,7 @@ def reparametrize(traj, s_of_tau, tau):
     2 samples (otherwise :class:`DegeneratePath`).  Returns
     ``(tau, positions)``.
     """
-    tau = np.asarray(tau, dtype=float)
-    if tau.ndim != 1 or len(tau) < 2:
-        raise DegeneratePath(f"need a 1-d grid of at least 2 samples, got shape {tau.shape}")
+    tau = _grid(tau, 2)
     s = np.asarray(s_of_tau(tau) if callable(s_of_tau) else s_of_tau, dtype=float)
     if s.shape != tau.shape:
         raise ValueError("s samples must align with tau samples")
@@ -397,25 +401,24 @@ def discrete_action(tau, positions, kappa=DEFAULT_KAPPA):
     ``(...)``, one action per curve (a float for a single curve).  Fewer
     than 2 samples raise :class:`DegeneratePath`.
     """
-    tau = np.asarray(tau, dtype=float)
-    if tau.ndim != 1 or len(tau) < 2:
-        raise DegeneratePath(f"need a 1-d grid of at least 2 samples, got shape {tau.shape}")
+    tau = _grid(tau, 2)
     vel = np.gradient(np.asarray(positions, dtype=float), tau, axis=-2)
     return _item(np.trapezoid(lagrangian(vel, kappa), tau))
 
 
 def action_stationarity_check(traj, eta, amplitudes, kappa=DEFAULT_KAPPA, samples=201):
-    """Scaling exponent of the action change under a boundary-fixed bump.
+    """Scaling exponent of the action change under boundary-fixed bumps.
 
     The trajectory is sampled on a uniform grid of at least 200 points,
     perturbed by ``eps * eta`` for each amplitude, and the discretized
     action of the base curve and of every perturbed one computed as one
-    ``(len(amplitudes) + 1, samples, 9)`` stack.  Because straight lines
-    make the action stationary, ``log |S(eps) - S(0)|`` against
-    ``log eps`` must fit a slope of 2.
+    ``(..., len(amplitudes) + 1, samples, 9)`` stack.  Because straight
+    lines make the action stationary, ``log |S(eps) - S(0)|`` against
+    ``log eps`` must fit a slope of 2, bump by bump.
 
-    ``eta`` is a callable ``tau -> (9,)`` or an aligned ``(samples, 9)``
-    array vanishing at both ends.  Raises :class:`IsotropicVelocity` when a
+    ``eta`` is a callable ``tau -> (9,)`` or a ``(..., samples, 9)`` stack
+    of bumps vanishing at both ends; the slopes have shape ``(...)`` (a
+    float for one bump).  Raises :class:`IsotropicVelocity` when a
     perturbed curve touches the isotropic cone (shrink the amplitudes).
     """
     if samples < 200:
@@ -426,17 +429,19 @@ def action_stationarity_check(traj, eta, amplitudes, kappa=DEFAULT_KAPPA, sample
     tau = np.linspace(0.0, traj.s_range[1], samples)
     base = traj.at(tau)
     bump = np.stack([eta(t) for t in tau]) if callable(eta) else np.asarray(eta, dtype=float)
-    if bump.shape != base.shape:
-        raise ValueError("eta samples must have shape (samples, 9)")
-    if np.abs(bump[0]).max() > 1e-12 or np.abs(bump[-1]).max() > 1e-12:
+    if bump.shape[-2:] != base.shape:
+        raise ValueError("eta samples must have shape (..., samples, 9)")
+    if np.abs(bump[..., [0, -1], :]).max(initial=0.0) > 1e-12:
         raise ValueError("eta must vanish at both endpoints")
-    curves = np.concatenate([base[None], base + amplitudes[:, None, None] * bump])
-    actions = discrete_action(tau, curves, kappa)
-    gaps = np.abs(actions[1:] - actions[0])
+    eps = np.concatenate([[0.0], amplitudes])
+    actions = discrete_action(tau, base + eps[:, None, None] * bump[..., None, :, :], kappa)
+    gaps = np.abs(actions[..., 1:] - actions[..., :1])
     if np.any(gaps == 0.0):
         raise ValueError("perturbation produced no action change; cannot fit")
-    slope, _ = np.polyfit(np.log(amplitudes), np.log(gaps), 1)
-    return float(slope)
+    # one fit per bump: a 2-d right-hand side moves the bits from 8 amplitudes up
+    slopes = [np.polyfit(np.log(amplitudes), g, 1)[0]
+              for g in np.log(gaps).reshape(-1, amplitudes.size)]
+    return _item(np.reshape(slopes, gaps.shape[:-1]))
 
 
 def random_nonisotropic_velocity(rng, margin=1e-3, scale=1.0, size=None):

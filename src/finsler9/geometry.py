@@ -77,8 +77,6 @@ def _item(r):
 
 def _rows_times(a, b):
     """Real ``a @ b`` for a ``(..., k)`` stack ``a``, ``_BLOCK_ROWS`` rows a BLAS call."""
-    if a.size <= _BLOCK_ROWS * a.shape[-1]:
-        return a @ b
     rows = a.reshape(-1, a.shape[-1])
     out = np.empty((len(rows), b.shape[1]))
     for start in range(0, len(rows), _BLOCK_ROWS):
@@ -238,10 +236,6 @@ def _by_blocks(kernel, terms, rows, out):
         for start in range(0, len(rows), size):
             out[..., start:start + size] = kernel(rows[start:start + size].T.copy(), terms)
     return out
-
-
-#: Rows per block of :func:`_cubic_gradient`.
-_TERM_ROWS = _CACHE_TERMS // _GRADIENT_TERMS[-1].size
 
 
 def _products(x, terms):

@@ -525,6 +525,13 @@ class TestGeneralSolution:
         with pytest.raises(ValueError):
             Trajectory(np.zeros(9), DIAG, s_range=(0.5, 1.0))
 
+    def test_equals_the_trajectory_evaluation_bit_for_bit_on_stacked_points(self):
+        rng = np.random.default_rng(619)
+        x0 = rng.uniform(-1, 1, size=(4, 3, 9))
+        v0 = unit_speed_velocity(rng)
+        for s in (-1.5, 0.0, -0.0, 2.75, 1e-300, rng.uniform(-2, 2, size=(4, 3))):
+            assert same_bits(general_solution(x0, v0, s), Trajectory(x0, v0).at(s))
+
 
 class TestArcLength:
     def test_unit_speed_line(self):
@@ -687,6 +694,50 @@ class TestActionStationarity:
         with pytest.raises(ValueError):
             action_stationarity_check(traj, interior_bump(1), [1e-2, 1e-3],
                                       samples=50)
+
+    @staticmethod
+    def bumps(slots, scales):
+        tau = np.linspace(0.0, 1.0, 201)
+        return np.stack([k * np.stack([interior_bump(slot)(t) for t in tau])
+                         for slot, k in zip(slots, scales)])
+
+    def test_a_stack_of_bumps_gives_the_per_bump_slopes_bit_for_bit(self):
+        traj = Trajectory(np.zeros(9), DIAG)
+        amplitudes = np.geomspace(1e-2, 1e-4, 5)
+        bumps = self.bumps([0, 1, 4, 6, 8], [1.0] * 5)
+        slopes = action_stationarity_check(traj, bumps, amplitudes)
+        assert same_bits(slopes, [action_stationarity_check(traj, b, amplitudes) for b in bumps])
+
+    def test_a_grid_of_bumps_gives_a_grid_of_slopes(self):
+        traj = Trajectory(np.zeros(9), DIAG)
+        amplitudes = np.geomspace(1e-2, 1e-4, 9)  # a 2-d polyfit moves bits from 8 up
+        bumps = self.bumps([0, 3, 5, 7, 8, 2], [1.0, 0.5, 2.0, 1.0, 0.3, 1.5])
+        bumps = bumps.reshape(2, 3, 201, 9)
+        slopes = action_stationarity_check(traj, bumps, amplitudes)
+        assert slopes.shape == (2, 3)
+        assert same_bits(slopes.ravel(), [action_stationarity_check(traj, b, amplitudes)
+                                          for b in bumps.reshape(-1, 201, 9)])
+        assert np.all(np.abs(slopes - 2.0) < 0.1)
+
+    def test_one_bump_or_a_callable_gives_a_float(self):
+        traj = Trajectory(np.zeros(9), DIAG)
+        amplitudes = np.geomspace(1e-2, 1e-4, 5)
+        assert type(action_stationarity_check(traj, interior_bump(4), amplitudes)) is float
+        bump = self.bumps([4], [1.0])[0]
+        assert type(action_stationarity_check(traj, bump, amplitudes)) is float
+
+    @pytest.mark.parametrize("end", [0, -1])
+    @pytest.mark.parametrize("index", [0, 2, 4])
+    def test_the_endpoint_guard_fires_for_any_bump_in_a_stack(self, index, end):
+        bumps = self.bumps([0, 1, 4, 6, 8], [1.0] * 5)
+        bumps[index, end, 3] = 1e-6
+        with pytest.raises(ValueError, match="vanish at both endpoints"):
+            action_stationarity_check(Trajectory(np.zeros(9), DIAG), bumps, [1e-2, 1e-3])
+
+    def test_a_stack_on_another_grid_is_refused(self):
+        with pytest.raises(ValueError, match=re.escape("(..., samples, 9)")):
+            action_stationarity_check(Trajectory(np.zeros(9), DIAG), np.zeros((5, 200, 9)),
+                                      [1e-2, 1e-3])
 
 
 def nonisotropic_loop(rng, margin=1e-3, scale=1.0):
@@ -936,6 +987,26 @@ class TestDiscreteActionSamples:
         assert discrete_action(tau, positions) == pytest.approx(-1.0)
 
 
+class TestGridGuard:
+    """``arc_length``, ``reparametrize`` and ``discrete_action`` share one grid message."""
+
+    CALLS = {
+        "arc_length": (3, lambda tau: arc_length(tau, np.zeros(np.shape(tau) + (9,)))),
+        "reparametrize": (2, lambda tau: reparametrize(Trajectory(np.zeros(9), DIAG),
+                                                       np.zeros(np.shape(tau)), tau)),
+        "discrete_action": (2, lambda tau: discrete_action(tau, np.zeros(np.shape(tau) + (9,)))),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_short_scalar_and_2d_grids_raise_one_message(self, name):
+        k, call = self.CALLS[name]
+        for tau in (np.linspace(0.0, 1.0, k - 1), np.zeros(0), 0.5, np.zeros((k, 2))):
+            shape = np.shape(tau)
+            with pytest.raises(DegeneratePath, match=re.escape(
+                    f"need a 1-d grid of at least {k} samples, got shape {shape}")):
+                call(tau)
+
+
 class TestSingularTransform:
     """A transform that cannot carry momenta raises a token, with no numpy warning."""
 
@@ -959,3 +1030,16 @@ class TestSingularTransform:
                     transform_momenta(transform, momenta)
             moved = transform_momenta(np.delete(ell, 2, axis=0), np.delete(p, 2, axis=0))
         assert np.isfinite(moved).all()
+
+    def test_a_tiny_pivot_that_overflows_the_momenta_raises_the_token(self):
+        tiny = np.eye(9)
+        tiny[0, 0] = 1e-310  # finite and nonsingular, but p[0] / 1e-310 overflows
+        p = canonical_momenta(unit_speed_velocity(np.random.default_rng(617), size=3))
+        assert np.all(np.abs(p[:, 0]) > 1e-2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stack = np.stack([np.eye(9), tiny, np.eye(9)])
+            for transform, momenta in ((tiny, p[1]), (stack, p), (tiny, p)):
+                with pytest.raises(SingularMomentumMatrix, match="singular or not finite"):
+                    transform_momenta(transform, momenta)
+            assert np.array_equal(transform_momenta(np.eye(9), p), p)

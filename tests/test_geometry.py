@@ -37,13 +37,15 @@ from finsler9.geometry import (
     _CACHE_TERMS,
     _DUAL_SCALE,
     _GRADIENT_TERMS,
-    _TERM_ROWS,
     G,
     HERMITIAN_TOL,
     _cubic_gradient,
     _hermitian_residue,
     _monomial_terms,
 )
+
+#: Rows per block of ``_cubic_gradient``.
+TERM_ROWS = _CACHE_TERMS // _GRADIENT_TERMS[-1].size
 
 GELL_MANN = [
     np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex),
@@ -289,8 +291,8 @@ class TestGroupAction:
         assert np.isrealobj(ell)
 
     def test_overflowing_entries_raise_non_real_entry_without_a_warning(self):
-        # det d is exactly 1, but d lam d^+ overflows and inf * 0 leaves a
-        # NaN imaginary residue, which must fail the guard
+        # det d is exactly 1, but the action's terms (1e160)^2 overflow, and
+        # the non-finite entries must raise the token
         d = np.diag([1e160, 1e-160, 1.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -597,7 +599,7 @@ class TestGradientTable:
             k = np.count_nonzero(column)
             assert np.all(column[:k] != 0.0) and np.all(column[k:] == 0.0)
 
-    @pytest.mark.parametrize("n", [1, 63, 64, 65, _TERM_ROWS - 1, _TERM_ROWS, _TERM_ROWS + 1,
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, TERM_ROWS - 1, TERM_ROWS, TERM_ROWS + 1,
                                    2500, _BLOCK_ROWS + 1, 100_000])
     def test_equals_the_einsum_oracle(self, n):
         x = np.random.default_rng(173).uniform(-1, 1, size=(n, 9))
@@ -634,7 +636,7 @@ class TestGradientTable:
         per_row = np.array([_cubic_gradient(row) for row in x.reshape(-1, 9)])
         assert_same_bits(_cubic_gradient(x).reshape(per_row.shape), per_row)
 
-    @pytest.mark.parametrize("n", [5, 63, 64, 65, _TERM_ROWS - 1, _TERM_ROWS, _TERM_ROWS + 1,
+    @pytest.mark.parametrize("n", [5, 63, 64, 65, TERM_ROWS - 1, TERM_ROWS, TERM_ROWS + 1,
                                    2500])
     def test_stack_with_inf_and_nan_rows_equals_per_row_calls(self, n):
         x = np.random.default_rng(199).uniform(-1, 1, size=(n, 9))
@@ -795,7 +797,7 @@ class TestActionTable:
         for column in weights[..., 0].T:  # the padding comes after each entry's terms
             k = np.count_nonzero(column)
             assert np.all(column[:k] != 0.0) and np.all(column[k:] == 0.0)
-        assert ACTION_ROWS == 56 and _TERM_ROWS == 512
+        assert ACTION_ROWS == 56 and TERM_ROWS == 512
 
     def test_entries_are_within_the_documented_bound_of_an_exact_reference(self):
         rng = np.random.default_rng(389)
