@@ -6,11 +6,14 @@ Run with:  python demos/momenta_and_inversion.py
 import numpy as np
 
 from finsler9 import (
+    DEFAULT_KAPPA,
     canonical_energy,
     canonical_momenta,
     invert_momenta,
     lagrangian,
     matrix_identity_residual,
+    matrix_to_vec,
+    momenta_matrix,
     momentum_constraint_residual,
     unit_speed_velocity,
 )
@@ -33,10 +36,11 @@ print("canonical energy   :", canonical_energy(v), "(identically zero)")
 print("matrix identity residual:", matrix_identity_residual(v))
 
 # Inverting the momenta through the same quadratic map that produced them
-# (the adjugate of the momentum matrix) returns the velocity; a generic LU
-# inverse agrees with the closed form.
-back = invert_momenta(p, method="adjugate")
-alt = invert_momenta(p, method="inverse")
+# (the adjugate of the momentum matrix) returns the velocity; the velocity
+# matrix c N^-1 from numpy's generic LU inverse agrees with the closed form.
+back = invert_momenta(p)
+vmat = (2.0 * DEFAULT_KAPPA / 3.0) * np.linalg.inv(momenta_matrix(p))
+alt = matrix_to_vec(0.5 * (vmat + vmat.conj().T))
 print("\nround-trip error (adjugate):", np.abs(back - v).max())
 print("adjugate vs generic inverse:", np.abs(back - alt).max())
 

@@ -59,4 +59,4 @@ from .minkowski import (
 )
 from .checks import CHECK_NAMES, run_checks
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

@@ -194,9 +194,9 @@ def _chk_unit_determinant(rng, trials):
 
 def _chk_adjugate_vs_inverse(rng, trials):
     p = canonical_momenta(unit_speed_velocity(rng, size=trials))
-    va = invert_momenta(p, method="adjugate")
-    vi = invert_momenta(p, method="inverse")
-    return _max_entry(va - vi) / _max_entry(vi)
+    vmat = (2.0 * DEFAULT_KAPPA / 3.0) * np.linalg.inv(momenta_matrix(p))
+    vi = matrix_to_vec(0.5 * (vmat + np.conj(np.swapaxes(vmat, -1, -2))))
+    return _max_entry(invert_momenta(p) - vi) / _max_entry(vi)
 
 
 def _chk_inverse_hermiticity(rng, trials):

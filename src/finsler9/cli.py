@@ -209,6 +209,7 @@ def _cmd_reduce4d(args):
 
 
 def _cmd_check(args):
+    _parse_kappa(args.kappa)  # refused as in every other command; the checks use -1
     if args.seed < 0:
         raise UsageError("--seed must be a nonnegative integer")
     if args.trials < 1:

@@ -38,7 +38,6 @@ from .geometry import (
     _stack,
     G,
     cubic_form,
-    matrix_to_vec,
     vec_to_matrix,
 )
 
@@ -236,8 +235,13 @@ def momentum_constraint_residual(p, kappa=DEFAULT_KAPPA):
     return _item((det - c3).reshape(p.shape[:-1]))
 
 
-def invert_momenta(p, kappa=DEFAULT_KAPPA, method="adjugate"):
+def invert_momenta(p, kappa=DEFAULT_KAPPA):
     """Recover the unit-speed initial velocity from nine admissible momenta.
+
+    The velocity is the adjugate of the momentum matrix, the sharp map
+    ``G(Dp, Dp, .)`` in real arithmetic, with the constraint substituting
+    the exact determinant value.  The ``adjugate_vs_inverse`` check in
+    :mod:`finsler9.checks` compares it with a generic LU inverse.
 
     Parameters
     ----------
@@ -247,12 +251,6 @@ def invert_momenta(p, kappa=DEFAULT_KAPPA, method="adjugate"):
         projection).
     kappa : float
         Coupling constant, nonzero.
-    method : {"adjugate", "inverse"}
-        "adjugate" takes the adjugate of the momentum matrix, the sharp
-        map ``G(Dp, Dp, .)`` in real arithmetic, using the constraint to
-        substitute the exact determinant value.  "inverse" goes through a
-        generic LU inverse and exists as an independent cross-check of the
-        closed form.
 
     Returns
     -------
@@ -275,15 +273,10 @@ def invert_momenta(p, kappa=DEFAULT_KAPPA, method="adjugate"):
         raise SingularMomentumMatrix(
             f"|det| = {abs(c) ** 3:.3e} below {SINGULARITY_TOL:.0e} * |P|^3"
         )
-    if method == "adjugate":
-        # The velocity matrix is c N^-1 = adj(N) / c^2, with det N pinned to
-        # c^3 by the constraint.  N = vec_to_matrix(D p), so component a of
-        # adj(N) in the basis is 0.5 tr(dual_a adj N) = 0.5 D_a grad(D p)_a.
-        return 0.5 * _DUAL_SCALE * _cubic_gradient(_DUAL_SCALE * p) / c**2
-    if method == "inverse":
-        vmat = c * np.linalg.inv(momenta_matrix(p))
-        return matrix_to_vec(0.5 * (vmat + np.conj(np.swapaxes(vmat, -1, -2))))
-    raise ValueError(f"unknown method {method!r}")
+    # The velocity matrix is c N^-1 = adj(N) / c^2, with det N pinned to
+    # c^3 by the constraint.  N = vec_to_matrix(D p), so component a of
+    # adj(N) in the basis is 0.5 tr(dual_a adj N) = 0.5 D_a grad(D p)_a.
+    return 0.5 * _DUAL_SCALE * _cubic_gradient(_DUAL_SCALE * p) / c**2
 
 
 def transform_momenta(transform, p):
@@ -318,7 +311,8 @@ def general_solution(x0, v0, s):
     """Point(s) of the straight world line ``x0 + s * v0``.
 
     ``v0`` must satisfy the unit-determinant condition; ``s`` may be a
-    scalar or an array of arc-length values (of either sign).
+    scalar or an array of arc-length values (of either sign) and
+    broadcasts as in :meth:`Trajectory.at`.
     """
     return Trajectory(x0, v0).at(s)
 
@@ -335,13 +329,24 @@ class Trajectory:
         object.__setattr__(self, "x0", _stack(self.x0, 9))
         object.__setattr__(self, "v0", _require_unit_speed(self.v0))
         s_i, s_f = self.s_range
-        if s_i != 0.0:
-            raise ValueError("the arc-length range must start at 0")
-        object.__setattr__(self, "s_range", (0.0, float(s_f)))
+        s_f = float(s_f)
+        if s_i != 0.0 or not np.isfinite(s_f):
+            raise ValueError("the arc-length range must start at 0 and end at a finite value, "
+                             f"got {self.s_range!r}")
+        object.__setattr__(self, "s_range", (0.0, s_f))
 
     def at(self, s):
-        """Point(s) ``x0 + s * v0`` at a scalar or an array of arc lengths ``s``."""
-        return self.x0 + np.asarray(s, dtype=float)[..., None] * self.v0
+        """Point(s) ``x0 + s * v0`` at a scalar or an array of arc lengths ``s``.
+
+        ``s`` broadcasts against the leading axes of ``x0``; shapes that do
+        not broadcast raise ValueError naming both.
+        """
+        s = np.asarray(s, dtype=float)
+        try:
+            return self.x0 + s[..., None] * self.v0
+        except ValueError:
+            raise ValueError(f"arc lengths of shape {s.shape} and initial points of shape "
+                             f"{self.x0.shape} do not broadcast") from None
 
     def sample(self, n):
         s = np.linspace(0.0, self.s_range[1], n)

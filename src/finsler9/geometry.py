@@ -288,13 +288,13 @@ def vec_to_matrix(x):
     return _basis_matrix(x, _B)
 
 
-def matrix_to_vec(m, tol=HERMITIAN_TOL):
+def matrix_to_vec(m):
     """9-vector of a Hermitian 3x3 matrix; inverse of :func:`vec_to_matrix`.
 
     Component ``a`` is ``Re tr(LAMBDA_DUAL[a] m) / 2``; ``m`` has shape
     ``(..., 3, 3)`` (otherwise ValueError naming its shape).  Raises
     :class:`NotHermitian` if the conjugate-symmetry residue of ``m``
-    exceeds ``tol`` or is not finite.
+    exceeds ``HERMITIAN_TOL`` or is not finite.
     """
     m = _stack(m, 3, 3, dtype=complex)
     entries = np.ascontiguousarray(m).reshape(m.shape[:-2] + (9,))
@@ -302,8 +302,9 @@ def matrix_to_vec(m, tol=HERMITIAN_TOL):
     # float limit sum to inf
     with np.errstate(over="ignore", invalid="ignore"):
         residue = _hermitian_residue(entries)
-        if not residue <= tol:
-            raise NotHermitian(f"conjugate-symmetry residue {residue:.3e} exceeds {tol:.1e}")
+        if not residue <= HERMITIAN_TOL:
+            raise NotHermitian(
+                f"conjugate-symmetry residue {residue:.3e} exceeds {HERMITIAN_TOL:.1e}")
         return 0.5 * _rows_times(entries.view(float), _B_DUAL.T)
 
 

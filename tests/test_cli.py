@@ -520,6 +520,21 @@ class TestCheck:
         code, _, err = run(["check", "--tol", "nope=1"], capsys)
         assert code == 64
 
+    @pytest.mark.parametrize("kappa, expected_code, prefix", [
+        ("abc", 1, "MalformedInput: kappa: "),
+        ("nan", 1, "MalformedInput: kappa: "),
+        ("0", 64, "Usage: kappa must be nonzero"),
+    ])
+    def test_kappa_is_refused_as_in_propagate(self, kappa, expected_code, prefix, capsys):
+        code, out, err = run(["check", "--trials", "1", "--kappa", kappa], capsys)
+        assert (code, out) == (expected_code, "")
+        assert err.startswith(prefix)
+
+    def test_a_valid_kappa_keeps_the_report_bytes(self, capsys):
+        _, plain, _ = run(["check", "--trials", "3"], capsys)
+        for kappa in ("-1", "0.5", "-2e3"):
+            assert run(["check", "--trials", "3", "--kappa", kappa], capsys) == (0, plain, "")
+
 
 class TestOutPath:
     @pytest.mark.parametrize("argv", [
