@@ -33,6 +33,7 @@ from .geometry import (
     _halves,
     _item,
     _monomial_terms,
+    _norm,
     _products,
     _rejection_sample,
     _stack,
@@ -79,6 +80,17 @@ def _check_kappa(kappa):
     return kappa
 
 
+def _cubed_norm(x):
+    """``|x|^3`` of ``(..., 9)`` rows as ``n * n * n``, ``n = |x|``.
+
+    Only correctly rounded products, so one row and a stack give the same
+    bits; numpy's scalar ``n ** 3`` and its array power differ in the last
+    bits.
+    """
+    n = _norm(x)
+    return n * n * n
+
+
 def _nonisotropic_form(xdot):
     """Cubic form of the velocity, or IsotropicVelocity if it is negligible.
 
@@ -89,7 +101,7 @@ def _nonisotropic_form(xdot):
     if not np.isfinite(xdot).all():  # a zero row is isotropic
         xdot = np.where(np.isfinite(xdot).all(axis=-1, keepdims=True), xdot, 0.0)
     f = cubic_form(xdot)
-    norm3 = np.linalg.norm(xdot, axis=-1) ** 3
+    norm3 = _cubed_norm(xdot)
     bad = ~(np.abs(f) >= ISOTROPY_EPS * norm3)  # NaN is bad too
     bad |= norm3 == 0.0  # the zero vector is isotropic by definition
     if np.any(bad):
@@ -268,7 +280,7 @@ def invert_momenta(p, kappa=DEFAULT_KAPPA):
     if not np.all(np.abs(residual) <= admitted):  # NaN fails too
         worst = residual.flat[np.argmax(np.abs(residual))]
         raise InconsistentMomenta(f"residual {worst:.6e} exceeds {admitted:.3e}")
-    norm3 = np.linalg.norm(p, axis=-1) ** 3
+    norm3 = _cubed_norm(p)
     if not np.all(abs(c) ** 3 >= SINGULARITY_TOL * norm3):
         raise SingularMomentumMatrix(
             f"|det| = {abs(c) ** 3:.3e} below {SINGULARITY_TOL:.0e} * |P|^3"
@@ -459,7 +471,7 @@ def random_nonisotropic_velocity(rng, margin=1e-3, scale=1.0, size=None):
     as a block.  ``size=None`` returns one ``(9,)`` velocity.
     """
     def accept(x):
-        return np.abs(cubic_form(x)) >= margin * np.linalg.norm(x, axis=-1) ** 3
+        return np.abs(cubic_form(x)) >= margin * _cubed_norm(x)
 
     return _rejection_sample(lambda k: rng.uniform(-scale, scale, size=(k, 9)), accept, size)
 

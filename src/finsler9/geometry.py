@@ -88,13 +88,27 @@ def cubic_form(x):
     """Cubic norm ``|X|^3`` of a 9-vector (broadcasts over leading axes)."""
     x = _stack(x, 9)
     x0, x1, x2, x3, x4, x5, x6, x7, x8 = (x[..., a] for a in range(9))
+    s4, s5, s6, s7 = x4**2, x5**2, x6**2, x7**2
     return (
         (x0**2 - x1**2 - x2**2 - x3**2) * x8
-        - x0 * (x4**2 + x5**2 + x6**2 + x7**2)
+        - x0 * (s4 + s5 + s6 + s7)
         + 2.0 * x1 * (x4 * x6 + x5 * x7)
         + 2.0 * x2 * (x5 * x6 - x4 * x7)
-        + x3 * (x4**2 + x5**2 - x6**2 - x7**2)
+        + x3 * (s4 + s5 - s6 - s7)
     )
+
+
+def _norm(x):
+    """Euclidean norm of ``(..., 9)`` rows, shape ``(...)``.
+
+    The squares are summed in numpy's pairwise order for nine terms,
+    ``((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7)) + s8``, so the
+    result has the bits of ``np.linalg.norm(x, axis=-1)`` on C-contiguous
+    rows, and keeps that order for any other layout.
+    """
+    s = x * x
+    s0, s1, s2, s3, s4, s5, s6, s7, s8 = s.transpose(-1, *range(s.ndim - 1))
+    return np.sqrt(((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7)) + s8)
 
 
 class CubicMetric:
@@ -165,6 +179,32 @@ def metric_coefficients():
     return G
 
 
+class _Terms(tuple):
+    """A term table ``(i, j, ..., w)``: the index arrays of each term's factors, then its weights.
+
+    It also fixes, from its shape, how :func:`_products` reads it: all
+    factors come from one gather at ``index``, the factors' index arrays
+    stacked.  When the table has more terms than its ``n`` variables times
+    its distinct weights and 1, ``scale`` holds those values, in order, and
+    ``index`` points into the stack ``scale[:, None] * x`` of
+    ``len(scale) * n`` rows: each first factor at ``w x[i]``, the others at
+    ``1 x[j]``.  Otherwise ``scale`` is None and ``index`` points into
+    ``x``.
+    """
+
+    def __new__(cls, factors, weights, n):
+        table = super().__new__(cls, (*factors, weights))
+        scale = np.array(sorted({*weights.flat, 1.0}))  # np.unique would import numpy.ma
+        if scale.size * n < weights.size:
+            one = np.searchsorted(scale, 1.0) * n
+            table.scale = scale
+            table.index = np.array([np.searchsorted(scale, weights[..., 0]) * n + factors[0],
+                                    *(one + f for f in factors[1:])])
+        else:
+            table.scale, table.index = None, np.array(factors)
+        return table
+
+
 def _gradient_terms(dense):
     """The nonzero ``(b, c, dense[a, b, c])`` of each ``a`` as steps over all ``a``.
 
@@ -179,7 +219,7 @@ def _gradient_terms(dense):
     b_rows, c_rows = np.zeros((2, counts.max(), len(dense)), dtype=np.intp)
     weights = np.zeros((counts.max(), len(dense), 1))
     b_rows[step, a], c_rows[step, a], weights[step, a, 0] = b, c, dense[a, b, c]
-    return b_rows, c_rows, weights
+    return _Terms((b_rows, c_rows), weights, dense.shape[-1])
 
 
 #: ``G``'s 60 nonzero entries as 8 steps of one term per component.
@@ -216,7 +256,7 @@ def _monomial_terms(dense, scale):
     a, b, c = np.array(list(_sorted_entries(dense))).T
     orders = np.where(a == c, 1, np.where((a == b) | (b == c), 3, 6))
     weights = orders * dense[a, b, c] * scale[a] * scale[b] * scale[c]
-    return a, b, c, weights[:, None]
+    return _Terms((a, b, c), weights[:, None], len(dense))
 
 
 #: Products of a block of a term kernel: 288 KiB, which stay in cache.
@@ -239,10 +279,17 @@ def _by_blocks(kernel, terms, rows, out):
 
 
 def _products(x, terms):
-    """The products ``w x[i] x[j] ...`` of a term table ``(i, j, ..., w)`` at rows ``x``."""
-    factors = x[np.array(terms[:-1])]  # at once: a second large temporary a block faults pages
+    """The products ``((w x[i]) x[j]) ...`` of a :class:`_Terms` table at rows ``x``.
+
+    With a ``scale`` each block forms the stack of ``x`` times each
+    distinct weight once; ``w x[i]`` is the same IEEE product either way,
+    and ``1 x[j]`` is ``x[j]``, so the bits are those of the weight pass.
+    """
+    stack = x if terms.scale is None else (terms.scale[:, None, None] * x).reshape(-1, x.shape[-1])
+    factors = stack[terms.index]  # at once: a second large temporary a block faults pages
     t = factors[0]
-    t *= terms[-1]
+    if terms.scale is None:
+        t *= terms[-1]
     for f in factors[1:]:
         t *= f
     return t
@@ -314,12 +361,29 @@ def _hermitian_residue(entries):
     return np.max(np.abs(m - np.conj(np.swapaxes(m, -1, -2))), initial=0.0)
 
 
+def _det(d):
+    """``det d`` of a complex ``(..., n, n)`` stack, ``n`` 2 or 3, by cofactor expansion."""
+    n = d.shape[-1]
+    entries = d.reshape(d.shape[:-2] + (n * n,))
+    entries = entries.transpose(-1, *range(entries.ndim - 1))
+    if n == 2:
+        a, b, c, e = entries
+        return a * e - b * c
+    a, b, c, e, f, g, h, k, m = entries
+    return a * (f * m - g * k) - b * (e * m - g * h) + c * (e * k - f * h)
+
+
 def _require_unimodular(d, n=3):
-    """``d`` as a complex ``(..., n, n)`` stack, or NotUnimodular for its worst gap."""
+    """``d`` as a complex ``(..., n, n)`` stack, or NotUnimodular for its worst gap.
+
+    ``n`` is 2 or 3: :func:`_det` expands by cofactors.
+    """
     d = _stack(d, n, n, dtype=complex)
-    with np.errstate(invalid="ignore"):  # a NaN gap fails the test below
-        gap = np.max(np.abs(np.linalg.det(d) - 1.0), initial=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN gaps fail the test below
+        gap = np.max(np.abs(_det(d) - 1.0), initial=0.0)
     if not gap <= UNIMODULAR_TOL:
+        if np.isnan(gap) and np.isfinite(d).all():
+            gap = np.inf  # the cofactors of finite entries overflowed
         raise NotUnimodular(f"|det - 1| = {gap:.3e} exceeds {UNIMODULAR_TOL:.1e}")
     return d
 

@@ -309,3 +309,17 @@ def test_15_stacked_basis_maps_runtime():
         )
         verdict(f"15 {func.__name__} on 100000 stacked vectors, min of 3", ok,
                 min(times), 0.02)
+
+
+def test_16_stacked_mechanics_runtime():
+    v = unit_speed_velocity(np.random.default_rng(1016), size=100_000)
+    invert_momenta(canonical_momenta(v))  # untimed: fresh pages for the first outputs
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        back = invert_momenta(canonical_momenta(v))
+        times.append(time.perf_counter() - start)
+    error = np.abs(back - v).max(axis=1) / np.linalg.norm(v, axis=1) ** 3
+    print(f"worst round-trip error over |v|^3: {error.max():.3e}")
+    verdict("16 canonical_momenta then invert_momenta on 100000 stacked velocities, min of 3",
+            back.shape == v.shape and error.max() <= 1e-12, min(times), 0.5)

@@ -381,6 +381,13 @@ class TestTransform:
         assert out == ""
         assert err.startswith("NonRealEntry: ") and err.count("\n") == 1
 
+    def test_overflowing_determinant_exit_2_with_one_line(self, capsys):
+        entries = ["1e160", "0", "0", "0", "0", "0",
+                   "0", "0", "1e160", "0", "0", "0",
+                   "0", "0", "0", "0", "1e160", "0"]
+        code, out, err = run(["transform", "--entries", *entries, "--x", *ZEROS9], capsys)
+        assert (code, out, err) == (2, "", "NotUnimodular: |det - 1| = inf exceeds 1.0e-09\n")
+
     def test_image_beyond_the_float_range_exit_2_with_one_line(self, capsys):
         entries = ["2", "0", "0", "0", "0", "0",
                    "0", "0", "0.5", "0", "0", "0",

@@ -43,7 +43,7 @@ from finsler9 import (
     unit_speed_velocity,
     vec_to_matrix,
 )
-from finsler9.dynamics import _DET_TERMS, _GAMMA, _PLAIN_DET_TOL
+from finsler9.dynamics import _DET_TERMS, _GAMMA, _PLAIN_DET_TOL, _cubed_norm
 from finsler9.geometry import G, _cubic_gradient, matrix_to_vec, metric_coefficients
 
 DIAG = np.array([1.0, 0, 0, 0, 0, 0, 0, 0, 1.0])
@@ -1051,3 +1051,27 @@ class TestSingularTransform:
                 with pytest.raises(SingularMomentumMatrix, match="singular or not finite"):
                     transform_momenta(transform, momenta)
             assert np.array_equal(transform_momenta(np.eye(9), p), p)
+
+
+class TestAdmissionCube:
+    """The ``|x|^3`` of the admission verdicts has the same bits for one row and a stack."""
+
+    def test_one_row_and_a_stack_compute_the_same_bits(self):
+        rng = np.random.default_rng(1021)
+        x = rng.uniform(-1, 1, size=(20_000, 9)) * 10.0 ** rng.uniform(-3, 3, size=(20_000, 1))
+        stacked = _cubed_norm(x)
+        assert same_bits(np.array([_cubed_norm(row) for row in x]), stacked)
+        assert same_bits(np.concatenate([_cubed_norm(x[i:i + 1]) for i in range(len(x))]), stacked)
+        assert same_bits(_cubed_norm(x.reshape(200, 100, 9)).ravel(), stacked)
+
+    def test_every_admission_uses_it(self, monkeypatch):
+        shapes = []
+
+        def spy(x):
+            shapes.append(np.shape(x))
+            return _cubed_norm(x)
+
+        monkeypatch.setattr(finsler9.dynamics, "_cubed_norm", spy)
+        v = random_nonisotropic_velocity(np.random.default_rng(1022), size=3)
+        invert_momenta(canonical_momenta(v / np.cbrt(cubic_form(v))[:, None]))
+        assert shapes == [(3, 9), (3, 9), (3, 9)]  # sampler, forward map, inverse map

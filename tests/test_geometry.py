@@ -2,6 +2,8 @@
 
 import itertools
 import re
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 
@@ -31,6 +33,7 @@ from finsler9 import (
     vec_to_matrix,
 )
 from finsler9.checks import CHECKS
+from finsler9.dynamics import _DET_TERMS
 from finsler9.geometry import (
     _ACTION_TERMS,
     _BLOCK_ROWS,
@@ -39,9 +42,13 @@ from finsler9.geometry import (
     _GRADIENT_TERMS,
     G,
     HERMITIAN_TOL,
+    _by_blocks,
     _cubic_gradient,
+    _det,
     _hermitian_residue,
     _monomial_terms,
+    _norm,
+    _products,
 )
 
 #: Rows per block of ``_cubic_gradient``.
@@ -833,3 +840,136 @@ class TestActionTable:
         for seed in range(3):  # each trial of run_checks(seed, 500)
             residuals = spec.fn(np.random.default_rng([seed, index]), 500)
             assert np.all(residuals == 0.0)
+
+
+def weight_pass_products(x, terms):
+    """The products of a term table with its weights multiplied into the gathered first factors."""
+    factors = x[np.array(terms[:-1])]
+    t = factors[0]
+    t *= terms[-1]
+    for f in factors[1:]:
+        t *= f
+    return t
+
+
+def rows_with_non_finite_entries(seed, n, k):
+    """``n`` rows of ``k`` signed magnitudes, 1e-320 to 1e200, with inf, NaN and zero rows."""
+    rng = np.random.default_rng(seed)
+    x = 10.0 ** rng.uniform(-320, 200, size=(n, k)) * rng.choice([-1.0, 1.0], size=(n, k))
+    x[rng.random((n, k)) < 0.05] = -0.0
+    x[::7, rng.integers(k)] = np.inf
+    x[3::11, rng.integers(k)] = -np.inf
+    x[5::13, rng.integers(k)] = np.nan
+    x[1::17] = 0.0
+    return x
+
+
+def same_raw_bits(a, b):
+    """Equal float64 bit patterns: values, zero signs and NaN positions."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def table_products(products, terms, rows):
+    """``products(x, terms)`` of all rows through ``_by_blocks``: ``w.shape[:-1] + (n,)``."""
+    return _by_blocks(products, terms, rows, np.empty(terms[-1].shape[:-1] + (len(rows),)))
+
+
+class TestPrescaledProducts:
+    """The first factors ``w x[i]`` read from a stack of ``x`` times each distinct weight."""
+
+    def test_stack_is_chosen_from_the_table_shape(self):
+        assert _GRADIENT_TERMS.scale.tolist() == [-1.0 / 3.0, 0.0, 1.0 / 3.0, 1.0]
+        assert _ACTION_TERMS.scale.tolist() == [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]
+        # 16 monomials against 4 weights times 9 momenta: the weight pass stays
+        assert _DET_TERMS.scale is None
+
+    @pytest.mark.parametrize("terms, width, n", [
+        *((_GRADIENT_TERMS, 9, n) for n in (1, 511, 512, 513)),
+        *((_ACTION_TERMS, 18, n) for n in (1, 55, 56, 57)),
+        *((_DET_TERMS, 9, n) for n in (1, 2303, 2304, 2305)),
+    ])
+    def test_equal_the_weight_pass_bit_for_bit(self, terms, width, n):
+        rows = rows_with_non_finite_entries(n + width, n, width)
+        got = table_products(_products, terms, rows)
+        assert np.isnan(got).any() or n == 1
+        assert same_raw_bits(got, table_products(weight_pass_products, terms, rows))
+
+    def test_a_fresh_process_reuses_the_block_temporaries(self):
+        # two large temporaries freed in each block make glibc's malloc give
+        # their pages back and fault them in again: about 675 faults a
+        # 2 500-row gradient call in a fresh process, and 3-4x the time
+        pytest.importorskip("resource")
+        code = (
+            "import resource, numpy as np\n"
+            "from finsler9.geometry import _cubic_gradient\n"
+            "x = np.random.default_rng(0).uniform(-1, 1, size=(2500, 9))\n"
+            "_cubic_gradient(x)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "for _ in range(100):\n"
+            "    _cubic_gradient(x)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        run = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True, check=True)
+        assert int(run.stdout) < 1000
+
+
+class TestNorm:
+    """``_norm`` is ``np.linalg.norm(x, axis=-1)`` bit for bit: numpy's pairwise order of nine."""
+
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    def test_equals_numpy_on_scaled_rows(self, scale):
+        rng = np.random.default_rng(223)
+        x = rng.uniform(-1, 1, size=(20_000, 9)) * 10.0 ** rng.uniform(-4, 4, size=(20_000, 9))
+        assert same_raw_bits(_norm(scale * x), np.linalg.norm(scale * x, axis=-1))
+
+    def test_signed_zeros_and_subnormals(self):
+        rng = np.random.default_rng(227)
+        x = rng.uniform(-1, 1, size=(4000, 9)) * 10.0 ** rng.uniform(-323, -300, size=(4000, 9))
+        x[rng.random(x.shape) < 0.2] = -0.0
+        x[:10] = -0.0
+        assert np.any(np.abs(x) < np.finfo(float).tiny)
+        assert same_raw_bits(_norm(x), np.linalg.norm(x, axis=-1))
+
+    @pytest.mark.parametrize("shape", [(9,), (1, 9), (4, 5, 9), (0, 9)])
+    def test_one_vector_and_stacks(self, shape):
+        x = np.random.default_rng(229).uniform(-1, 1, size=shape)
+        got = np.asarray(_norm(x))
+        assert same_raw_bits(got, np.asarray(np.linalg.norm(x, axis=-1)))
+
+    def test_strided_rows_keep_the_pairwise_order(self):
+        x = np.random.default_rng(233).uniform(-1, 1, size=(9, 5000)).T
+        assert same_raw_bits(_norm(x), np.linalg.norm(np.ascontiguousarray(x), axis=-1))
+
+
+class TestClosedFormDeterminant:
+    """The unimodularity gate's ``det`` by cofactor expansion instead of LAPACK's LU."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_close_to_lapack(self, n):
+        d = random_unimodular(np.random.default_rng(239), n=n, size=(20, 500))
+        assert_allclose(_det(d), np.linalg.det(d), rtol=0, atol=1e-14)
+        assert_allclose(_det(d[0, 0]), np.linalg.det(d[0, 0]), rtol=0, atol=1e-14)
+        assert _det(d[:0]).shape == (0, 500)
+
+    def test_two_by_two_gate(self):
+        d2 = random_unimodular(np.random.default_rng(241), n=2, size=50)
+        assert embed_sl2(d2).shape == (50, 3, 3) and embed_sl2(d2[7]).shape == (3, 3)
+        d2[7] *= 1.0 + 1e-8
+        with pytest.raises(NotUnimodular):
+            embed_sl2(d2)
+
+    @pytest.mark.parametrize("entry", [np.inf, complex(1, np.nan)])
+    def test_non_finite_entries_are_not_unimodular(self, entry):
+        d = random_unimodular(np.random.default_rng(251), size=4)
+        d[2, 1, 1] = entry
+        with pytest.raises(NotUnimodular):
+            group_action(d)
+
+    def test_overflowing_determinant_reads_inf_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotUnimodular, match=r"\|det - 1\| = inf exceeds"):
+                group_action(1e160 * np.eye(3))
+            with pytest.raises(NotUnimodular, match="= nan exceeds"):
+                group_action(np.stack([1e160 * np.eye(3), np.full((3, 3), np.nan)]))
