@@ -8,7 +8,8 @@ world lines are straight.  The momenta are the scaled gradient
 ``3 G(xdot, xdot, .)`` of the cubic form (the sharp map: the adjugate of
 the velocity matrix, read in the basis), and their closed-form inversion
 is the same map at ``D p``, ``D = diag(1, ..., 1, 2)``; both run through
-one broadcasting kernel in real arithmetic.
+one broadcasting kernel in real arithmetic.  The constraint ``det N`` is
+one more table of :mod:`finsler9.geometry`'s term-table builder and reader.
 """
 
 import contextlib
@@ -29,14 +30,15 @@ from .geometry import (
     _DUAL_SCALE,
     _basis_matrix,
     _by_blocks,
+    _compensated_sums,
     _cubic_gradient,
-    _halves,
     _item,
-    _monomial_terms,
+    _monomials,
     _norm,
-    _products,
+    _plain_sums,
     _rejection_sample,
     _stack,
+    _terms,
     G,
     cubic_form,
     vec_to_matrix,
@@ -54,9 +56,9 @@ UNIT_SPEED_TOL = 1e-9
 CONSTRAINT_ADMISSION_TOL = 1e-8
 SINGULARITY_TOL = 1e-12
 
-#: ``det N = cubic_form(D p)`` as ``G``'s 16 monomials in the momenta, with
-#: ``D`` folded into their weights.
-_DET_TERMS = _monomial_terms(G._dense, _DUAL_SCALE)
+#: ``det N = cubic_form(D p)`` as a table of ``G``'s 16 monomials in the
+#: momenta, 16 steps of one output, with ``D`` folded into their weights.
+_DET_TERMS = _terms(_monomials(G._dense, _DUAL_SCALE))
 
 #: Higham's ``gamma_8 = 8u / (1 - 8u)``, ``u = 2^-53``.  A plain monomial
 #: rounds twice and the sum by halves of 16 rounds four times, so the plain
@@ -68,9 +70,6 @@ _GAMMA = 8 * 2.0**-53 / (1 - 8 * 2.0**-53)
 #: The plain ``det N`` stands where ``gamma_8 S`` is at most this times
 #: ``|2 kappa / 3|^3``: 1e5 below ``CONSTRAINT_ADMISSION_TOL``.
 _PLAIN_DET_TOL = 1e-13
-
-#: Veltkamp's splitting constant ``2^27 + 1`` for float64.
-_SPLITTER = 2.0**27 + 1.0
 
 
 def _check_kappa(kappa):
@@ -167,54 +166,6 @@ def matrix_identity_residual(xdot, kappa=DEFAULT_KAPPA):
     return _item(np.abs(lhs - rhs).max(axis=(-2, -1)))
 
 
-def _split(x):
-    """Veltkamp's split ``x = hi + lo``, each half of at most 26 bits."""
-    t = _SPLITTER * x
-    hi = t - (t - x)
-    return hi, x - hi
-
-
-def _two_product(a, b, a_halves, b_halves):
-    """``a * b`` and its rounding error, exactly (Dekker), from the halves of ``a`` and ``b``."""
-    (ah, al), (bh, bl) = a_halves, b_halves
-    p = a * b
-    return p, al * bl - (((p - ah * bh) - al * bh) - ah * bl)
-
-
-def _two_sum(a, b):
-    """``a + b`` and its rounding error, exactly (Knuth)."""
-    s = a + b
-    z = s - a
-    return s, (a - (s - z)) + (b - z)
-
-
-def _plain_det(x, terms):
-    """Plain sum ``det N`` of ``(9, m)`` momenta rows, and ``S``, its terms' magnitudes summed."""
-    t = _products(x, terms)
-    return _halves(t), _halves(np.abs(t, out=t))
-
-
-def _compensated_det(x, terms):
-    """``det N`` of ``(9, m)`` momenta rows from exact monomials and a compensated sum.
-
-    Each monomial is ``w (p2 + e2 + e1 x_c)`` with ``x_a x_b = p1 + e1``
-    and ``p1 x_c = p2 + e2`` exact; the ``w p2`` are summed by halves with
-    their exact errors, which join the ``e`` parts in a plain sum (Ogita,
-    Rump and Oishi's Dot2).
-    """
-    a, b, c, w = terms
-    hi, lo = _split(x)
-    xc = x[c]
-    p1, e1 = _two_product(x[a], x[b], (hi[a], lo[a]), (hi[b], lo[b]))
-    p2, e2 = _two_product(p1, xc, _split(p1), (hi[c], lo[c]))
-    s, q = w * p2, w * (e2 + e1 * xc)
-    while len(s) > 1:
-        half = len(s) // 2
-        s, e = _two_sum(s[:half], s[half:])
-        q = q[:half] + q[half:] + e
-    return s[0] + q[0]
-
-
 def momentum_constraint_residual(p, kappa=DEFAULT_KAPPA):
     """``det`` of the momentum matrix minus ``(2 kappa / 3)^3``.
 
@@ -225,7 +176,8 @@ def momentum_constraint_residual(p, kappa=DEFAULT_KAPPA):
     admitted by :func:`invert_momenta`.
 
     Accuracy: ``det N`` is ``cubic_form(D p)``, summed in real arithmetic
-    from its 16 monomials ``w p_a p_b p_c`` (``w`` exactly +-1 or +-2).
+    from the 16 monomials ``w p_a p_b p_c`` (``w`` exactly +-1 or +-2) of
+    ``_DET_TERMS``, a table that ``geometry._terms`` builds and ``geometry`` reads.
     With ``S`` the sum of their magnitudes and ``u = 2^-53``, a row keeps
     the plain sum when ``gamma_8 S <= 1e-13 |2 kappa / 3|^3``, and that
     bounds its error.  Any other row is recomputed with exact products and
@@ -239,11 +191,12 @@ def momentum_constraint_residual(p, kappa=DEFAULT_KAPPA):
     c3 = (2.0 * kappa / 3.0) ** 3
     rows = p.reshape(-1, 9)
     # inf and NaN propagate: such rows fail admission in invert_momenta
-    det, size = _by_blocks(_plain_det, _DET_TERMS, rows, np.empty((2, len(rows))))
+    det, size = _by_blocks(_plain_sums, _DET_TERMS, rows, np.empty((2, 1, len(rows))))[:, 0]
     # a NaN or infinite S takes the compensated pass too
     redo = np.flatnonzero(~(size <= _PLAIN_DET_TOL * abs(c3) / _GAMMA))
     if len(redo):
-        det[redo] = _by_blocks(_compensated_det, _DET_TERMS, rows[redo], np.empty(len(redo)))
+        det[redo] = _by_blocks(_compensated_sums, _DET_TERMS, rows[redo],
+                               np.empty((1, len(redo))), copies=9)
     return _item((det - c3).reshape(p.shape[:-1]))
 
 

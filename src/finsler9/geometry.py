@@ -182,48 +182,44 @@ def metric_coefficients():
 class _Terms(tuple):
     """A term table ``(i, j, ..., w)``: the index arrays of each term's factors, then its weights.
 
-    It also fixes, from its shape, how :func:`_products` reads it: all
-    factors come from one gather at ``index``, the factors' index arrays
-    stacked.  When the table has more terms than its ``n`` variables times
-    its distinct weights and 1, ``scale`` holds those values, in order, and
+    Built only by :func:`_terms`; read by :func:`_products` and
+    :func:`_compensated_sums`, all factors in one gather at ``index``.
+    When the table has more terms than its ``n`` variables times its
+    distinct weights and 1, ``scale`` holds those values, in order, and
     ``index`` points into the stack ``scale[:, None] * x`` of
     ``len(scale) * n`` rows: each first factor at ``w x[i]``, the others at
-    ``1 x[j]``.  Otherwise ``scale`` is None and ``index`` points into
-    ``x``.
+    ``1 x[j]``.  Otherwise ``scale`` is None and ``index`` points into ``x``.
     """
 
-    def __new__(cls, factors, weights, n):
-        table = super().__new__(cls, (*factors, weights))
-        scale = np.array(sorted({*weights.flat, 1.0}))  # np.unique would import numpy.ma
-        if scale.size * n < weights.size:
-            one = np.searchsorted(scale, 1.0) * n
-            table.scale = scale
-            table.index = np.array([np.searchsorted(scale, weights[..., 0]) * n + factors[0],
-                                    *(one + f for f in factors[1:])])
-        else:
-            table.scale, table.index = None, np.array(factors)
-        return table
 
-
-def _gradient_terms(dense):
-    """The nonzero ``(b, c, dense[a, b, c])`` of each ``a`` as steps over all ``a``.
+def _terms(dense):
+    """The nonzero ``dense[a, i, j, ...]`` as a :class:`_Terms` table of steps over outputs ``a``.
 
     Step ``s`` holds the ``s``-th nonzero entry of ``dense[a]`` in C order
-    of ``(b, c)``: index arrays ``b``, ``c`` of shape ``(steps, len(dense))``
-    and weights ``w`` of shape ``(steps, len(dense), 1)``; an ``a`` with
-    fewer entries is padded with zero weights.
+    of ``(i, j, ...)``: index arrays ``(steps, len(dense))`` and weights
+    ``(steps, len(dense), 1)``, zero where an ``a`` has fewer entries.
+    ``geometry`` builds the gradient and action tables at import, and
+    :mod:`finsler9.dynamics` the momentum determinant's.
     """
-    a, b, c = np.nonzero(dense)
+    a, *factors = np.nonzero(dense)
     counts = np.bincount(a, minlength=len(dense))
     step = np.arange(len(a)) - (np.cumsum(counts) - counts)[a]
-    b_rows, c_rows = np.zeros((2, counts.max(), len(dense)), dtype=np.intp)
+    index = np.zeros((len(factors), counts.max(), len(dense)), dtype=np.intp)
     weights = np.zeros((counts.max(), len(dense), 1))
-    b_rows[step, a], c_rows[step, a], weights[step, a, 0] = b, c, dense[a, b, c]
-    return _Terms((b_rows, c_rows), weights, dense.shape[-1])
+    index[:, step, a], weights[step, a, 0] = factors, dense[(a, *factors)]
+    table = _Terms((*index, weights))
+    n = dense.shape[-1]
+    scale = np.array(sorted({*weights.flat, 1.0}))  # np.unique would import numpy.ma
+    table.scale, table.index = None, index
+    if scale.size * n < weights.size:
+        rows = np.full(index.shape, np.searchsorted(scale, 1.0))
+        rows[0] = np.searchsorted(scale, weights[..., 0])
+        table.scale, table.index = scale, index + rows * n
+    return table
 
 
 #: ``G``'s 60 nonzero entries as 8 steps of one term per component.
-_GRADIENT_TERMS = _gradient_terms(G._dense)
+_GRADIENT_TERMS = _terms(G._dense)
 
 
 def _action_forms():
@@ -241,37 +237,35 @@ def _action_forms():
 
 
 #: The 81 entries of :func:`group_action` as 314 terms in 8 steps.
-_ACTION_TERMS = _gradient_terms(_action_forms())
+_ACTION_TERMS = _terms(_action_forms())
 
 
-def _monomial_terms(dense, scale):
-    """The cubic form at ``scale * x`` as monomials ``w x[a] x[b] x[c]``.
+def _monomials(dense, scale):
+    """The cubic form at ``scale * x`` as one output's monomials ``w x[a] x[b] x[c]``.
 
-    One monomial per nonzero entry at a non-decreasing triple, in C order:
-    index arrays ``a``, ``b``, ``c`` of shape ``(terms,)`` and weights
-    ``w`` of shape ``(terms, 1)``, the entry times its number of distinct
-    index orders and the three scales.  For ``G`` these are 3 or 6 times
-    ``+-1/3`` and powers of two, which round to exactly ``+-1`` or ``+-2``.
+    A ``(1, 9, 9, 9)`` array, nonzero at non-decreasing triples only: the
+    entry times its number of distinct index orders and the three scales.
+    For ``G`` these round to exactly ``+-1`` or ``+-2``.
     """
-    a, b, c = np.array(list(_sorted_entries(dense))).T
+    a, b, c = np.indices(dense.shape)
     orders = np.where(a == c, 1, np.where((a == b) | (b == c), 3, 6))
-    weights = orders * dense[a, b, c] * scale[a] * scale[b] * scale[c]
-    return _Terms((a, b, c), weights[:, None], len(dense))
+    weights = orders * dense * scale[a] * scale[b] * scale[c]
+    return np.where((a <= b) & (b <= c), weights, 0.0)[None]
 
 
 #: Products of a block of a term kernel: 288 KiB, which stay in cache.
 _CACHE_TERMS = 36 * 1024
 
 
-def _by_blocks(kernel, terms, rows, out):
+def _by_blocks(kernel, terms, rows, out, copies=1):
     """``out[..., i] = kernel(rows[i])`` for ``(n, k)`` rows, ``_CACHE_TERMS`` products a block.
 
     ``kernel(x, terms)`` gets a contiguous ``(k, m)`` copy of ``m`` rows and
-    returns ``(..., m)``; it forms ``terms[-1].size`` products a row.  A
-    row-major result is filled through its transpose.  inf and NaN
-    propagate without a warning.
+    returns ``(..., m)``; it forms ``terms[-1].size`` products a row, and
+    holds ``copies`` arrays of them at once.  A row-major result is filled
+    through its transpose.  inf and NaN propagate without a warning.
     """
-    size = _CACHE_TERMS // terms[-1].size
+    size = _CACHE_TERMS // (copies * terms[-1].size)
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(rows), size):
             out[..., start:start + size] = kernel(rows[start:start + size].T.copy(), terms)
@@ -300,6 +294,58 @@ def _halves(t):
     while len(t) > 1:
         t = t[:len(t) // 2] + t[len(t) // 2:]
     return t[0]
+
+
+def _plain_sums(x, terms):
+    """A table's terms at rows ``x`` summed by halves, and their magnitudes summed likewise."""
+    t = _products(x, terms)
+    return _halves(t), _halves(np.abs(t, out=t))
+
+
+#: Veltkamp's splitting constant ``2^27 + 1`` for float64.
+_SPLITTER = 2.0**27 + 1.0
+
+
+def _split(x):
+    """Veltkamp's split ``x = hi + lo``, each half of at most 26 bits."""
+    t = _SPLITTER * x
+    hi = t - (t - x)
+    return hi, x - hi
+
+
+def _two_product(a, b):
+    """``a * b`` and its rounding error, exactly (Dekker), for factors ``(value, hi, lo)``."""
+    (a, ah, al), (b, bh, bl) = a, b
+    p = a * b
+    return p, al * bl - (((p - ah * bh) - al * bh) - ah * bl)
+
+
+def _two_sum(a, b):
+    """``a + b`` and its rounding error, exactly (Knuth)."""
+    s = a + b
+    z = s - a
+    return s, (a - (s - z)) + (b - z)
+
+
+def _compensated_sums(x, terms):
+    """The sums of a degree-3 table without ``scale`` at rows ``x``: exact products, compensated.
+
+    Each term is ``w (p2 + e2 + e1 x_c)`` with ``x_a x_b = p1 + e1`` and
+    ``p1 x_c = p2 + e2`` exact; the ``w p2`` are summed by halves with
+    their exact errors, which join the ``e`` parts in a plain sum (Ogita,
+    Rump and Oishi's Dot2).  Each factor and its Veltkamp halves come from
+    one gather at ``terms.index``: 9 arrays the size of the terms.
+    """
+    offsets = len(x) * np.arange(3)[:, None, None]
+    a, b, c = np.concatenate([x, *_split(x)])[terms.index[:, None] + offsets]
+    p1, e1 = _two_product(a, b)
+    p2, e2 = _two_product((p1, *_split(p1)), c)
+    s, q = terms[-1] * p2, terms[-1] * (e2 + e1 * c[0])
+    while len(s) > 1:
+        half = len(s) // 2
+        s, e = _two_sum(s[:half], s[half:])
+        q = q[:half] + q[half:] + e
+    return s[0] + q[0]
 
 
 def _cubic_gradient(x):

@@ -621,6 +621,11 @@ class TestReparametrize:
         with pytest.raises(DegeneratePath):
             reparametrize(traj, lambda t: t, np.zeros(1))
 
+    def test_samples_not_aligned_with_tau_are_refused(self):
+        traj = Trajectory(np.zeros(9), DIAG)
+        with pytest.raises(ValueError, match="s samples must align with tau samples"):
+            reparametrize(traj, np.linspace(0.0, 1.0, 10), np.linspace(0.0, 1.0, 11))
+
 
 def interior_bump(slot, lo=0.3, hi=0.7):
     def eta(t):
@@ -702,6 +707,17 @@ class TestActionStationarity:
         with pytest.raises(ValueError):
             action_stationarity_check(traj, interior_bump(1), [1e-2, 1e-3],
                                       samples=50)
+
+    @pytest.mark.parametrize("amplitudes", [[1e-2], [1e-2, 0.0], [1e-2, -1e-3]])
+    def test_needs_two_positive_amplitudes(self, amplitudes):
+        with pytest.raises(ValueError, match="at least two positive amplitudes"):
+            action_stationarity_check(Trajectory(np.zeros(9), DIAG), interior_bump(1),
+                                      amplitudes)
+
+    def test_an_all_zero_bump_changes_no_action_and_is_refused(self):
+        with pytest.raises(ValueError, match="produced no action change"):
+            action_stationarity_check(Trajectory(np.zeros(9), DIAG), np.zeros((201, 9)),
+                                      [1e-2, 1e-3])
 
     @staticmethod
     def bumps(slots, scales):
@@ -892,8 +908,9 @@ class TestConstraintInRealArithmetic:
     @staticmethod
     def plain_bound(p):
         """``gamma_8 S``, the error bound of the plain sum."""
-        a, b, c, w = _DET_TERMS
+        a, b, c, w = (t[:, 0] for t in _DET_TERMS)
         size = np.abs(w[:, 0] * p[:, a] * p[:, b] * p[:, c]).sum(axis=1)
+        assert size.shape == p.shape[:-1]  # an (n, 1) S would broadcast the bound to (n, n)
         return _GAMMA * size
 
     def test_sample_reaches_the_cone_and_both_sides_of_the_gate(self):

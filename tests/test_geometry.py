@@ -46,9 +46,10 @@ from finsler9.geometry import (
     _cubic_gradient,
     _det,
     _hermitian_residue,
-    _monomial_terms,
+    _monomials,
     _norm,
     _products,
+    _terms,
 )
 
 #: Rows per block of ``_cubic_gradient``.
@@ -666,21 +667,21 @@ class TestMonomialTable:
 
     @staticmethod
     def as_dict(terms):
-        a, b, c, w = terms
-        assert w.shape == (len(a), 1)
+        assert terms[-1].shape == (16, 1, 1)  # 16 steps of one output
+        a, b, c, w = (t[:, 0] for t in terms)
         return {(int(i), int(j), int(k)): float(v) for i, j, k, v in zip(a, b, c, w[:, 0])}
 
     def test_unscaled_table_is_the_hand_typed_polynomial(self):
-        assert self.as_dict(_monomial_terms(G._dense, np.ones(9))) == dict(_MONOMIALS)
+        assert self.as_dict(_terms(_monomials(G._dense, np.ones(9)))) == dict(_MONOMIALS)
 
     def test_dual_scale_doubles_the_terms_of_x8(self):
-        scaled = self.as_dict(_monomial_terms(G._dense, _DUAL_SCALE))
+        scaled = self.as_dict(_terms(_monomials(G._dense, _DUAL_SCALE)))
         assert scaled == {t: v * (2.0 if 8 in t else 1.0) for t, v in _MONOMIALS}
         assert sorted(set(np.abs(list(scaled.values())))) == [1.0, 2.0]
 
     def test_terms_sum_to_the_cubic_form_at_the_scaled_vector(self):
         x = np.random.default_rng(211).uniform(-1, 1, size=(500, 9))
-        a, b, c, w = _monomial_terms(G._dense, _DUAL_SCALE)
+        a, b, c, w = (t[:, 0] for t in _terms(_monomials(G._dense, _DUAL_SCALE)))
         total = (w[:, 0] * x[:, a] * x[:, b] * x[:, c]).sum(axis=1)
         assert_allclose(total, cubic_form(_DUAL_SCALE * x), rtol=0, atol=1e-14)
 
@@ -973,3 +974,14 @@ class TestClosedFormDeterminant:
                 group_action(1e160 * np.eye(3))
             with pytest.raises(NotUnimodular, match="= nan exceeds"):
                 group_action(np.stack([1e160 * np.eye(3), np.full((3, 3), np.nan)]))
+
+    def test_cofactors_that_overflow_to_inf_minus_inf_read_inf(self):
+        # every entry is finite, but two cofactor terms overflow with opposite
+        # signs, so the expanded determinant is NaN
+        d = np.array([[1e200, 1e200, 0], [1e200, 1e200, 0], [0, 0, 1]], dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(_det(d))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotUnimodular, match=r"\|det - 1\| = inf exceeds"):
+                group_action(d)
