@@ -13,6 +13,7 @@ one more table of :mod:`finsler9.geometry`'s term-table builder and reader.
 """
 
 import contextlib
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -314,6 +315,12 @@ class Trajectory:
                              f"{self.x0.shape} do not broadcast") from None
 
     def sample(self, n):
+        """``n`` evenly spaced arc lengths ``s`` from 0 to ``s_range[1]``, and ``self.at(s)``.
+
+        An ``n`` that is not a non-negative integer raises ValueError naming it.
+        """
+        if not (isinstance(n, numbers.Integral) and n >= 0):
+            raise ValueError(f"n must be a non-negative integer, got {n!r}")
         s = np.linspace(0.0, self.s_range[1], n)
         return s, self.at(s)
 

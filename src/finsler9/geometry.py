@@ -10,6 +10,7 @@ realizes SL(3, C) as the symmetry group of the geometry.
 """
 
 import itertools
+import numbers
 
 import numpy as np
 
@@ -154,18 +155,34 @@ def _sorted_entries(dense):
             if dense[triple]}
 
 
-def _polarised_determinant():
-    """``G_abc = Re(eps_ijk eps_lmn lam[a]_il lam[b]_jm lam[c]_kn) / 6``.
+def _det_forms():
+    """``Re det d`` and ``Im det d`` as ``sum forms[k, p, q, r] z[p] z[q] z[r]``, ``k`` 0 and 1.
 
-    The basis entries are 0, +-1 and +-i, so every sum is an exact Gaussian
-    integer and each nonzero coefficient is the correctly rounded +-1/3.
+    ``z`` is ``d`` as 18 floats in ``_B``'s layout: ``Re d[i, j]`` at
+    ``2 (3 i + j)`` and ``Im d[i, j]`` one after it.  The permutation
+    ``sigma`` gives ``sign(sigma) d[0, s0] d[1, s1] d[2, s2]``, whose 8 real
+    products take the parts ``t`` of the three factors with weight
+    ``sign(sigma) i^(t0 + t1 + t2)``: real or imaginary, +-1.  48 terms, with
+    ``p``, ``q`` and ``r`` from rows 0, 1 and 2.
     """
-    eps = np.zeros((3, 3, 3))
-    eps[[0, 1, 2], [1, 2, 0], [2, 0, 1]] = 1.0
-    eps[[0, 2, 1], [2, 1, 0], [1, 0, 2]] = -1.0
-    lam = LAMBDA_MATRICES
-    dense = np.einsum("ijk,lmn,ail,bjm,ckn->abc", eps, eps, lam, lam, lam,
-                      optimize=True).real / 6.0
+    forms = np.zeros((2, 18, 18, 18))
+    for sigma in itertools.permutations(range(3)):
+        sign = (-1) ** sum(a > b for a, b in itertools.combinations(sigma, 2))
+        for parts in itertools.product((0, 1), repeat=3):
+            w = sign * (1, 1j, -1, -1j)[sum(parts)]
+            p, q, r = (2 * (3 * i + j) + t for i, (j, t) in enumerate(zip(sigma, parts)))
+            forms[:, p, q, r] = w.real, w.imag
+    return forms
+
+
+def _polarised_determinant():
+    """``G_abc``: ``Re det`` of :func:`_det_forms` read in the basis ``_B``, symmetrised.
+
+    The basis entries are 0, +-1 and +-i, so every sum is an exact integer
+    and each nonzero coefficient is the correctly rounded +-1/3.
+    """
+    rows = np.einsum("pqr,ap,bq,cr->abc", _det_forms()[0], _B, _B, _B, optimize=True)
+    dense = sum(rows.transpose(axes) for axes in itertools.permutations(range(3))) / 6.0
     return CubicMetric(_sorted_entries(dense))
 
 
@@ -238,6 +255,9 @@ def _action_forms():
 
 #: The 81 entries of :func:`group_action` as 314 terms in 8 steps.
 _ACTION_TERMS = _terms(_action_forms())
+
+#: ``Re det d`` and ``Im det d`` as 24 steps of the 2 outputs.
+_COMPLEX_DET_TERMS = _terms(_det_forms())
 
 
 def _monomials(dense, scale):
@@ -407,29 +427,23 @@ def _hermitian_residue(entries):
     return np.max(np.abs(m - np.conj(np.swapaxes(m, -1, -2))), initial=0.0)
 
 
-def _det(d):
-    """``det d`` of a complex ``(..., n, n)`` stack, ``n`` 2 or 3, by cofactor expansion."""
-    n = d.shape[-1]
-    entries = d.reshape(d.shape[:-2] + (n * n,))
-    entries = entries.transpose(-1, *range(entries.ndim - 1))
-    if n == 2:
-        a, b, c, e = entries
-        return a * e - b * c
-    a, b, c, e, f, g, h, k, m = entries
-    return a * (f * m - g * k) - b * (e * m - g * h) + c * (e * k - f * h)
+def _require_unimodular(d):
+    """``d`` as a complex ``(..., 3, 3)`` stack, or NotUnimodular for its worst gap ``|det - 1|``.
 
-
-def _require_unimodular(d, n=3):
-    """``d`` as a complex ``(..., n, n)`` stack, or NotUnimodular for its worst gap.
-
-    ``n`` is 2 or 3: :func:`_det` expands by cofactors.
+    ``det d`` is the 48 real terms of ``_COMPLEX_DET_TERMS``, each output's 24
+    summed in sequence: real arithmetic, so a stack's verdict and message
+    are those of its worst matrix.  A NaN gap reads ``inf`` unless an entry
+    of ``d`` is NaN: the terms of large or infinite entries overflowed.
     """
-    d = _stack(d, n, n, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN gaps fail the test below
-        gap = np.max(np.abs(_det(d) - 1.0), initial=0.0)
+    d = _stack(d, 3, 3, dtype=complex)
+    z = np.ascontiguousarray(d).view(float).reshape(-1, 18)
+    det = np.empty((len(z), 2))
+    _by_blocks(lambda zt, terms: np.add.reduce(_products(zt, terms), axis=0),
+               _COMPLEX_DET_TERMS, z, det.T)
+    gap = np.max(np.abs(det.view(complex) - 1.0), initial=0.0)
     if not gap <= UNIMODULAR_TOL:
-        if np.isnan(gap) and np.isfinite(d).all():
-            gap = np.inf  # the cofactors of finite entries overflowed
+        if np.isnan(gap) and not np.isnan(d).any():
+            gap = np.inf
         raise NotUnimodular(f"|det - 1| = {gap:.3e} exceeds {UNIMODULAR_TOL:.1e}")
     return d
 
@@ -500,8 +514,12 @@ def random_unimodular(rng, n=3, size=None):
     draws with ``|det| < 0.1`` are rejected (and only the rejected ones are
     redrawn) and each survivor is divided by the principal cube (square)
     root of its determinant, which lands the determinant on 1 regardless of
-    branch.  ``size=None`` returns one ``(n, n)`` matrix.
+    branch.  ``size=None`` returns one ``(n, n)`` matrix.  An ``n`` that is
+    not a positive integer raises ValueError naming it.
     """
+    if not (isinstance(n, numbers.Integral) and n > 0):
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+
     def draw(k):
         return rng.random((k, n, n)) + 1j * rng.random((k, n, n))
 

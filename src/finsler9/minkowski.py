@@ -38,13 +38,16 @@ def minkowski_norm_sq(x4):
 def embed_sl2(d2):
     """Embed unimodular 2x2 matrices in the upper-left block of 3x3 ones.
 
-    Broadcasts over leading axes: ``(..., 2, 2)`` gives ``(..., 3, 3)``.
+    Broadcasts over leading axes: ``(..., 2, 2)`` gives ``(..., 3, 3)``
+    (otherwise ValueError naming the shape).  The embedded matrices pass the
+    3x3 unimodularity gate, whose ``det`` is the 2x2 one, or raise
+    :class:`NotUnimodular` for the worst of them.
     """
-    d2 = _require_unimodular(d2, n=2)
+    d2 = _stack(d2, 2, 2, dtype=complex)
     d3 = np.zeros(d2.shape[:-2] + (3, 3), dtype=complex)
     d3[..., :2, :2] = d2
     d3[..., 2, 2] = 1.0
-    return d3
+    return _require_unimodular(d3)
 
 
 def _split_blocks(ell):

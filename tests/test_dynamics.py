@@ -516,6 +516,15 @@ class TestGeneralSolution:
         assert s[-1] == -2.0
         assert_allclose(points[-1], -2.0 * DIAG)
 
+    @pytest.mark.parametrize("n", [-1, 2.5, np.float64(3.0), "3", None])
+    def test_sample_refuses_an_n_that_is_not_a_non_negative_integer(self, n):
+        traj = Trajectory(np.zeros(9), DIAG)
+        message = f"n must be a non-negative integer, got {n!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            traj.sample(n)
+        s, points = traj.sample(np.int64(0))
+        assert s.shape == (0,) and points.shape == (0, 9)
+
     def test_trajectory_range_must_start_at_zero(self):
         with pytest.raises(ValueError):
             Trajectory(np.zeros(9), DIAG, s_range=(0.5, 1.0))

@@ -38,17 +38,19 @@ from finsler9.geometry import (
     _ACTION_TERMS,
     _BLOCK_ROWS,
     _CACHE_TERMS,
+    _COMPLEX_DET_TERMS,
     _DUAL_SCALE,
     _GRADIENT_TERMS,
     G,
     HERMITIAN_TOL,
     _by_blocks,
     _cubic_gradient,
-    _det,
+    _det_forms,
     _hermitian_residue,
     _monomials,
     _norm,
     _products,
+    _require_unimodular,
     _terms,
 )
 
@@ -315,6 +317,13 @@ class TestGroupAction:
             for _ in range(50):
                 d = random_unimodular(rng, n=n)
                 assert abs(np.linalg.det(d) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("n", [0, -1, 2.0, 1.5, "3", None])
+    def test_random_unimodular_refuses_an_n_that_is_not_a_positive_integer(self, n):
+        rng = np.random.default_rng(43)
+        with pytest.raises(ValueError, match=re.escape(f"n must be a positive integer, got {n!r}")):
+            random_unimodular(rng, n=n)
+        assert random_unimodular(rng, n=np.int64(1), size=2).shape == (2, 1, 1)
 
 
 def unimodular_loop(rng, n=3):
@@ -943,15 +952,28 @@ class TestNorm:
         assert same_raw_bits(_norm(x), np.linalg.norm(np.ascontiguousarray(x), axis=-1))
 
 
+def table_det(d):
+    """``det d`` of complex ``(..., 3, 3)`` matrices: the gate's term table, summed in sequence."""
+    z = np.ascontiguousarray(d).view(float).reshape(-1, 18)
+    det = np.add.reduce(_products(z.T.copy(), _COMPLEX_DET_TERMS), axis=0)
+    return det.T.copy().view(complex).reshape(d.shape[:-2])
+
+
 class TestClosedFormDeterminant:
-    """The unimodularity gate's ``det`` by cofactor expansion instead of LAPACK's LU."""
+    """The unimodularity gate's ``det``: 48 real terms from :func:`_det_forms`, not LAPACK's LU."""
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_close_to_lapack(self, n):
         d = random_unimodular(np.random.default_rng(239), n=n, size=(20, 500))
-        assert_allclose(_det(d), np.linalg.det(d), rtol=0, atol=1e-14)
-        assert_allclose(_det(d[0, 0]), np.linalg.det(d[0, 0]), rtol=0, atol=1e-14)
-        assert _det(d[:0]).shape == (0, 500)
+        d3 = embed_sl2(d) if n == 2 else d
+        assert_allclose(table_det(d3), np.linalg.det(d), rtol=0, atol=1e-14)
+        assert_allclose(table_det(d3[0, 0]), np.linalg.det(d[0, 0]), rtol=0, atol=1e-14)
+        assert _require_unimodular(d3[:0]).shape == (0, 500, 3, 3)
+
+    def test_48_terms_of_weight_one_in_24_steps(self):
+        forms = _det_forms()
+        assert np.count_nonzero(forms) == 48 and set(np.abs(forms[forms != 0])) == {1.0}
+        assert [t.shape[:2] for t in _COMPLEX_DET_TERMS] == [(24, 2)] * 4
 
     def test_two_by_two_gate(self):
         d2 = random_unimodular(np.random.default_rng(241), n=2, size=50)
@@ -976,12 +998,29 @@ class TestClosedFormDeterminant:
                 group_action(np.stack([1e160 * np.eye(3), np.full((3, 3), np.nan)]))
 
     def test_cofactors_that_overflow_to_inf_minus_inf_read_inf(self):
-        # every entry is finite, but two cofactor terms overflow with opposite
-        # signs, so the expanded determinant is NaN
+        # every entry is finite, but two terms overflow with opposite signs,
+        # so the expanded determinant is NaN
         d = np.array([[1e200, 1e200, 0], [1e200, 1e200, 0], [0, 0, 1]], dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
-            assert np.isnan(_det(d))
+            assert np.isnan(table_det(d))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NotUnimodular, match=r"\|det - 1\| = inf exceeds"):
                 group_action(d)
+            with pytest.raises(NotUnimodular, match=r"\|det - 1\| = inf exceeds"):
+                embed_sl2(d[:2, :2])
+
+    @pytest.mark.parametrize("entry, reads", [(np.inf, "inf"), (-np.inf, "inf"),
+                                              (complex(0, np.inf), "inf"),
+                                              (np.nan, "nan"), (complex(1, np.nan), "nan")])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_one_non_finite_entry(self, n, entry, reads):
+        d = random_unimodular(np.random.default_rng(263), n=n, size=3)
+        d[1, 0, 1] = entry
+        gate = embed_sl2 if n == 2 else group_action
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotUnimodular, match=rf"\|det - 1\| = {reads} exceeds"):
+                gate(d)
+            with pytest.raises(NotUnimodular, match=rf"\|det - 1\| = {reads} exceeds"):
+                gate(d[1])

@@ -13,10 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finsler9 import (
+    NotUnimodular,
+    block_split_check,
     canonical_energy,
     canonical_momenta,
     conjugation_action,
     cubic_form,
+    embed_sl2,
     group_action,
     invert_momenta,
     lagrangian,
@@ -29,12 +32,20 @@ from finsler9 import (
     vec_to_matrix,
 )
 from finsler9.dynamics import _DET_TERMS
-from finsler9.geometry import _ACTION_TERMS, _BLOCK_ROWS, _CACHE_TERMS, _GRADIENT_TERMS
+from finsler9.geometry import (
+    _ACTION_TERMS,
+    _BLOCK_ROWS,
+    _CACHE_TERMS,
+    _COMPLEX_DET_TERMS,
+    _GRADIENT_TERMS,
+    _require_unimodular,
+)
 
 #: Rows per block of each kernel: 512 (gradient), 56 (action), 2 304
-#: (momentum determinant) and 4 096 (``_rows_times``).
-GRADIENT, ACTION, DETERMINANT = (_CACHE_TERMS // t[-1].size
-                                 for t in (_GRADIENT_TERMS, _ACTION_TERMS, _DET_TERMS))
+#: (momentum determinant), 768 (unimodularity gate) and 4 096 (``_rows_times``).
+GRADIENT, ACTION, DETERMINANT, GATE = (
+    _CACHE_TERMS // t[-1].size
+    for t in (_GRADIENT_TERMS, _ACTION_TERMS, _DET_TERMS, _COMPLEX_DET_TERMS))
 BASIS = _BLOCK_ROWS
 
 
@@ -77,12 +88,24 @@ def unimodular(rng, n):
     return (random_unimodular(rng, size=n),)
 
 
+def unimodular_2x2(rng, n):
+    return (random_unimodular(rng, n=2, size=n),)
+
+
 def unimodular_and_vectors(rng, n):
     return unimodular(rng, n) + finite_rows(rng, n)
 
 
 def hermitian(rng, n):
     return (vec_to_matrix(finite_rows(rng, n)[0]),)
+
+
+def split_blocks(d2):
+    """:func:`block_split_check`'s vector, spinor and scalar blocks as one ``(..., 33)`` array."""
+    vec, spin, scalar = block_split_check(d2)
+    shape = np.shape(scalar)
+    return np.concatenate([vec.reshape(shape + (16,)), spin.reshape(shape + (16,)),
+                           np.reshape(scalar, shape + (1,))], axis=-1)
 
 
 #: name -> (function, its inputs for ``n`` rows, the block sizes whose edges it crosses)
@@ -93,6 +116,8 @@ CASES = {
     "invert_momenta": (invert_momenta, admitted_momenta, (GRADIENT, DETERMINANT)),
     "momentum_constraint_residual": (momentum_constraint_residual, wide_rows, (DETERMINANT,)),
     "group_action": (group_action, unimodular, (ACTION,)),
+    "embed_sl2": (embed_sl2, unimodular_2x2, (GATE,)),
+    "block_split_check": (split_blocks, unimodular_2x2, (ACTION, GATE)),
     "conjugation_action": (conjugation_action, unimodular_and_vectors, (ACTION,)),
     "vec_to_matrix": (vec_to_matrix, wide_rows, (BASIS,)),
     "momenta_matrix": (momenta_matrix, wide_rows, (BASIS,)),
@@ -112,7 +137,7 @@ def assert_same_raw_bits(stacked, per_row):
 
 
 def test_block_sizes():
-    assert (GRADIENT, ACTION, DETERMINANT, BASIS) == (512, 56, 2304, 4096)
+    assert (GRADIENT, ACTION, DETERMINANT, GATE, BASIS) == (512, 56, 2304, 768, 4096)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -124,3 +149,34 @@ def test_a_stack_gives_the_bits_of_its_rows(name, seed):
     per_row = np.array([function(*row) for row in zip(*args)])
     for n in sorted({block + k for block in blocks for k in (-1, 0, 1)}):
         assert_same_raw_bits(function(*(a[:n] for a in args)), per_row[:n])
+
+
+def verdict(d):
+    """The gate's message for ``d``, or None if it passes."""
+    try:
+        _require_unimodular(d)
+    except NotUnimodular as exc:
+        return str(exc)
+    return None
+
+
+def gap(message):
+    """The gap a message reads, ``-inf`` for a pass."""
+    return -np.inf if message is None else float(message.split("= ")[1].split()[0])
+
+
+@pytest.mark.parametrize("entry", [None, np.inf, complex(0, -np.inf), np.nan])
+@pytest.mark.parametrize("n", [GATE - 1, GATE, GATE + 1])
+@settings(derandomize=True, deadline=None, max_examples=3)
+@given(seed=st.integers(0, 2**32 - 1), bad=st.integers(0, 4))
+def test_a_stacks_unimodularity_verdict_is_its_worst_rows(n, entry, seed, bad):
+    """Up to 4 rows, the last among them, 3e-13 to 3e-8 off ``det = 1``; maybe an inf or NaN."""
+    rng = np.random.default_rng(seed)
+    d = random_unimodular(rng, size=n)
+    rows = rng.choice(n - 1, size=bad, replace=False)
+    rows[:1] = n - 1
+    d[rows] *= 1.0 + 10.0 ** rng.uniform(-13, -8, size=(bad, 1, 1))
+    if entry is not None:
+        d[rng.integers(n), rng.integers(3), rng.integers(3)] = entry
+    per_row = [verdict(m) for m in d]
+    assert verdict(d) == per_row[int(np.argmax([gap(m) for m in per_row]))]
