@@ -288,6 +288,37 @@ def test_14_propagate_runtime(tmp_path):
                 proc.returncode == 0 and ok, elapsed, 2.0)
 
 
+def test_17_propagate_full_precision_runtime(tmp_path):
+    # test 14's rows are mostly 0 and integers; these have 17 significant digits
+    rng = np.random.default_rng(1017)
+    x0 = rng.uniform(-10, 10, size=9)
+    momenta = canonical_momenta(unit_speed_velocity(rng))
+    s_max = rng.uniform(1, 10)
+    v0 = invert_momenta(momenta)
+    last = [s_max, *(x0 + s_max * v0)]
+    argv = ["--x0", *[format(v, ".17g") for v in x0],
+            "--momenta", *[format(v, ".17g") for v in momenta],
+            "--s-max", format(s_max, ".17g"), "--samples", "100000"]
+    for fmt in ("csv", "json"):
+        path = tmp_path / f"trajectory.{fmt}"
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "finsler9", "propagate", "--format", fmt, *argv,
+             "--out", str(path)],
+            capture_output=True, text=True,
+        )
+        elapsed = time.perf_counter() - start
+        text = path.read_text()
+        if fmt == "csv":
+            rows = text.splitlines()
+            ok = len(rows) == 100001 and rows[-1] == ",".join(format(v, ".17g") for v in last)
+        else:
+            samples = json.loads(text)["samples"]
+            ok = len(samples) == 100000 and samples[-1] == {"s": last[0], "x": last[1:]}
+        verdict(f"17 propagate, 100000 full-precision samples as {fmt.upper()}",
+                proc.returncode == 0 and ok, elapsed, 2.0)
+
+
 def test_15_stacked_basis_maps_runtime():
     x = np.random.default_rng(1015).uniform(-1, 1, size=(100_000, 9))
     dual_scale = np.array([1.0] * 8 + [2.0])  # momenta_matrix(p) == vec_to_matrix(D p)

@@ -9,6 +9,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finsler9 import (
     __version__,
@@ -17,7 +19,7 @@ from finsler9 import (
     invert_momenta,
     unit_speed_velocity,
 )
-from finsler9.cli import CHUNK_ROWS, _fmt, _to_json, main
+from finsler9.cli import CHUNK_ROWS, _fmt, _render_rows, _to_json, main
 
 DIAG_MOMENTA = ["-0.6666666666666666", "0", "0", "0", "0", "0", "0", "0",
                 "-0.3333333333333333"]
@@ -97,6 +99,15 @@ class TestPropagate:
         assert out == ""
         assert err.startswith("InconsistentMomenta: residual")
         assert len(err.strip().splitlines()) == 1
+
+    def test_overflowing_world_line_prints_one_token_line(self):
+        # a subprocess, so that a RuntimeWarning would reach stderr as text
+        proc = subprocess.run([sys.executable, "-m", "finsler9", "propagate",
+                               "--x0", *ZEROS9[:8], "1e308", "--momenta", *DIAG_MOMENTA,
+                               "--s-max", "1e308", "--samples", "2", "--format", "json"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "NonRealEntry: the world line is beyond the float range\n"
 
     def test_malformed_momenta_exit_1(self, capsys):
         bad = DIAG_MOMENTA[:8] + ["abc"]
@@ -256,6 +267,8 @@ class TestStreamedTrajectory:
         (["--momenta", *ZEROS9, "--samples", "3"], 2),
         (["--momenta", *DIAG_MOMENTA, "--samples", "3", "--kappa", "0"], 64),
         (["--momenta", *DIAG_MOMENTA, "--samples", "0"], 64),
+        (["--x0", *ZEROS9[:8], "1e308", "--momenta", *DIAG_MOMENTA, "--s-max", "1e308",
+          "--samples", "2"], 2),
     ])
     def test_failed_checks_leave_no_output_file(self, flags, expected_code, capsys,
                                                 tmp_path):
@@ -266,6 +279,67 @@ class TestStreamedTrajectory:
         assert out == ""
         assert len(err.strip().splitlines()) == 1
         assert not path.exists()
+
+
+# the row templates the trajectory renderer replaced, kept as its oracle
+CSV_ROW = ",".join(["%.17g"] * 10) + "\n"
+JSON_ROW = ', {"s": %.17g, "x": [' + ", ".join(["%.17g"] * 9) + "]}"
+
+
+def assert_rows_render_as_templates(values, formats=("csv", "json")):
+    rows = np.asarray(values, dtype=float).reshape(-1, 10)
+    for fmt, template in (("csv", CSV_ROW), ("json", JSON_ROW)):
+        if fmt in formats:
+            expected = "".join([template % tuple(r) for r in rows.tolist()])
+            assert_same_text(_render_rows(rows, fmt), expected)
+
+
+def padded(values):
+    """``values`` and their negatives, zero-padded to whole rows of ten."""
+    values = np.concatenate([values, -np.asarray(values)])
+    return np.concatenate([values, np.zeros(-len(values) % 10)])
+
+
+class TestRowRenderer:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    def test_any_floats_render_as_the_templates(self, values):
+        values = values + [0.0] * (-len(values) % 10)
+        assert_rows_render_as_templates(values)
+
+    def test_ties_round_half_to_even(self):
+        assert _fmt(1234567890123456.25) == "1234567890123456.2"
+        assert _fmt(1234567890123456.75) == "1234567890123456.8"
+        # the odd multiples of 1/4 in [2^50, 2^51) all end on a tie at 17 digits
+        k = np.random.default_rng(41).integers(0, 2**51, size=2000)
+        assert_rows_render_as_templates(padded(2.0**50 + (2 * k + 1) / 4))
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        powers = np.array([10.0 ** k for k in range(-8, 19)])
+        values = [powers, np.nextafter(powers, np.inf), np.nextafter(powers, -np.inf)]
+        assert_rows_render_as_templates(padded(np.concatenate(values)))
+
+    def test_window_edges_and_extremes(self):
+        values = [1e-4, 9.9999999999999995e-05, 1e17, 99999999999999984.0,
+                  5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                  0.0, np.inf, np.nan]
+        assert_rows_render_as_templates(padded(values))
+        row = np.array([[1e-4, 9.9999999999999995e-05, 1e17, 5e-324, -0.0, -np.inf, np.nan,
+                         1.7976931348623157e308, 0.5, 123.0]])
+        assert _render_rows(row, "csv") == (
+            "0.0001,9.9999999999999991e-05,1e+17,4.9406564584124654e-324,-0,-inf,nan,"
+            "1.7976931348623157e+308,0.5,123\n")
+
+    @pytest.mark.parametrize("exponents", [(0, 2048), (1023 - 20, 1023 + 60)],
+                             ids=["all", "near-fixed-window"])
+    def test_seeded_sweep_of_bit_patterns(self, exponents):
+        # all 64-bit patterns (NaNs, infinities and subnormals included), and
+        # patterns with binary exponents from 2^-20 to 2^59, around 1e-4 and 1e17
+        rng = np.random.default_rng(2024)
+        bits = rng.integers(0, 2**64, size=10**6, dtype=np.uint64)
+        exponent = rng.integers(*exponents, size=bits.size).astype(np.uint64)
+        bits = bits & ~np.uint64(0x7FF << 52) | exponent << np.uint64(52)
+        assert_rows_render_as_templates(bits.view(np.float64), formats=("csv",))
 
 
 class TestInvert:
