@@ -13,6 +13,7 @@ evaluates them with stacked array operations, so no loop runs once per
 trial.  Residual ``t`` of a check still comes from trial ``t`` alone.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -332,12 +333,29 @@ CHECKS = [
 CHECK_NAMES = [spec.name for spec in CHECKS]
 
 
+def _check_arguments(seed, trials, tolerances):
+    """ValueError unless ``seed >= 0`` and ``trials >= 1`` are integers and
+    ``tolerances`` maps names of ``CHECK_NAMES`` to values that are not NaN."""
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    if not (isinstance(trials, numbers.Integral) and trials >= 1):
+        raise ValueError(f"trials must be a positive integer, got {trials!r}")
+    for name, value in (tolerances or {}).items():
+        if name not in CHECK_NAMES:
+            raise ValueError(f"unknown check {name!r} in tolerances")
+        if np.isnan(float(value)):
+            raise ValueError(f"the tolerance of {name} is NaN")
+
+
 def run_checks(seed=0, trials=500, tolerances=None):
     """Run every check; returns ``{name: {trials, failures, worst_residual}}``.
 
     ``tolerances`` optionally overrides the default tolerance per check
-    name.  Same seed and trials always produce the same report.
+    name.  Same seed and trials always produce the same report.  A seed
+    that is not a non-negative integer, trials that are not a positive
+    integer, an unknown check name or a NaN tolerance raise ValueError.
     """
+    _check_arguments(seed, trials, tolerances)
     tolerances = tolerances or {}
     report = {}
     for idx, spec in enumerate(CHECKS):

@@ -19,8 +19,8 @@ import sys
 
 import numpy as np
 
-from .checks import CHECK_NAMES, all_passed, run_checks
-from .dynamics import invert_momenta
+from .checks import _check_arguments, all_passed, run_checks
+from .dynamics import Trajectory, _check_kappa, invert_momenta
 from .exceptions import FinslerError, NonRealEntry
 from .geometry import _split, _two_product, conjugation_action, cubic_form, vec_to_matrix
 from .minkowski import assemble_velocity, minkowski_norm_sq
@@ -81,10 +81,10 @@ def _parse_floats(tokens, what):
 
 
 def _parse_kappa(token):
-    kappa = float(_parse_floats([token], "kappa")[0])
-    if kappa == 0.0:
-        raise UsageError("kappa must be nonzero")
-    return kappa
+    try:
+        return _check_kappa(_parse_floats([token], "kappa")[0])
+    except ValueError as exc:
+        raise UsageError(exc) from None
 
 
 @contextlib.contextmanager
@@ -247,24 +247,23 @@ def _render_rows(rows, fmt):
     return buf.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _write_trajectory(handle, fmt, kappa, x0, v0, s_values):
-    """Stream the world line ``x0 + s v0`` to ``handle``, CHUNK_ROWS rows a write.
+def _write_trajectory(handle, fmt, kappa, traj, s_values):
+    """Stream ``traj.at(s)`` for ``s`` in ``s_values`` to ``handle``, CHUNK_ROWS rows a write.
 
-    Each chunk is computed, rendered by :func:`_render_rows` and written
-    before the next, so memory does not grow with the sample count beyond
-    ``s_values`` itself.
+    Each chunk is computed by :meth:`Trajectory.at`, rendered by
+    :func:`_render_rows` and written before the next, so memory does not
+    grow with the sample count beyond ``s_values`` itself.
     """
     if fmt == "csv":
         handle.write("s," + ",".join(f"X{a}" for a in range(9)) + "\n")
         skip, tail = 0, ""
     else:
-        head = _to_json({"kappa": kappa, "x0": list(x0), "v0": list(v0)})
+        head = _to_json({"kappa": kappa, "x0": list(traj.x0), "v0": list(traj.v0)})
         handle.write(head[:-1] + ', "samples": [')
         skip, tail = len(", "), "]}\n"  # the first row opens with no separator
     for start in range(0, len(s_values), CHUNK_ROWS):
         s = s_values[start:start + CHUNK_ROWS]
-        # not Trajectory.at: invert_momenta admits velocities that fail its unit-speed test
-        text = _render_rows(np.column_stack([s, x0 + s[:, None] * v0]), fmt)
+        text = _render_rows(np.column_stack([s, traj.at(s)]), fmt)
         handle.write(text if start else text[skip:])
     handle.write(tail)
 
@@ -276,14 +275,14 @@ def _cmd_propagate(args):
     s_max = float(_parse_floats([args.s_max], "--s-max")[0])
     if args.samples < 1:
         raise UsageError("--samples must be at least 1")
-    v0 = invert_momenta(momenta, kappa)
+    traj = Trajectory(x0, invert_momenta(momenta, kappa), (0.0, s_max))
     s_values = np.linspace(0.0, s_max, args.samples)
     with np.errstate(over="ignore"):  # the line is affine in s: its last row bounds every row
-        last = x0 + s_values[-1] * v0
+        last = traj.at(s_values[-1])
     if not np.isfinite(last).all():
         raise NonRealEntry("the world line is beyond the float range")
     with _output(args.out) as handle:
-        _write_trajectory(handle, args.format, kappa, x0, v0, s_values)
+        _write_trajectory(handle, args.format, kappa, traj, s_values)
     return EXIT_OK
 
 
@@ -318,31 +317,33 @@ def _cmd_reduce4d(args):
     light_speed = float(_parse_floats([args.c], "--c")[0])
     if mass <= 0 or light_speed <= 0:
         raise UsageError("--mass and --c must be positive")
-    nine = assemble_velocity(xdot03, xdot47)
-    x8dot = float(nine[8])
     kappa = -mass * light_speed
-    density_9 = kappa * float(np.cbrt(cubic_form(nine)))
-    density_4 = kappa * float(np.sqrt(minkowski_norm_sq(xdot03)))
-    record = {"x8dot": x8dot, "finsler_density": density_9, "minkowski_density": density_4}
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite record fails the test below
+        nine = assemble_velocity(xdot03, xdot47)
+        record = {"x8dot": float(nine[8]),
+                  "finsler_density": kappa * float(np.cbrt(cubic_form(nine))),
+                  "minkowski_density": kappa * float(np.sqrt(minkowski_norm_sq(xdot03)))}
+    if not np.isfinite(list(record.values())).all():
+        raise NonRealEntry("the 4D-limit record is beyond the float range")
     _emit(args, list(record), list(record.values()), record)
     return EXIT_OK
 
 
 def _cmd_check(args):
     _parse_kappa(args.kappa)  # refused as in every other command; the checks use -1
-    if args.seed < 0:
-        raise UsageError("--seed must be a nonnegative integer")
-    if args.trials < 1:
-        raise UsageError("--trials must be at least 1")
     overrides = {}
     for spec in args.tol or []:
         name, eq, value = spec.partition("=")
-        if not eq or name not in CHECK_NAMES:
+        if not eq:
             raise UsageError(f"--tol expects <known-check>=<value>, got {spec!r}")
         try:
             overrides[name] = float(value)
         except ValueError:
             raise UsageError(f"--tol {name}: bad value {value!r}") from None
+    try:
+        _check_arguments(args.seed, args.trials, overrides)
+    except ValueError as exc:
+        raise UsageError(exc) from None
     report = run_checks(seed=args.seed, trials=args.trials, tolerances=overrides)
     with _output(args.out) as handle:
         handle.write(_to_json(report) + "\n")

@@ -73,10 +73,25 @@ _GAMMA = 8 * 2.0**-53 / (1 - 8 * 2.0**-53)
 _PLAIN_DET_TOL = 1e-13
 
 
+#: The range of ``|kappa|``: ``2^-300`` to ``2^300``, about 4.9e-91 to 2.0e90.
+_KAPPA_RANGE = (2.0**-300, 2.0**300)
+
+
 def _check_kappa(kappa):
+    """``kappa`` as a float, or ValueError unless ``2^-300 <= |kappa| <= 2^300``.
+
+    In that range ``|2 kappa / 3|^3`` lies within ``2^-902 .. 2^899``.  On
+    momenta of the order of ``|kappa|``, as unit-speed momenta are, with
+    room for a factor ``2^20`` either way, the monomials of
+    :func:`momentum_constraint_residual` and their exact rounding errors
+    stay normal, products of two stay below ``2^996`` and the 16-term sum
+    stays finite, so its stated accuracy holds.  Far outside it ``c^3``
+    overflows, or underflows and admission accepts anything.  Zero, NaN
+    and the infinities are outside the range.
+    """
     kappa = float(kappa)
-    if kappa == 0.0 or not np.isfinite(kappa):
-        raise ValueError("kappa must be a nonzero finite real number")
+    if not _KAPPA_RANGE[0] <= abs(kappa) <= _KAPPA_RANGE[1]:  # NaN fails too
+        raise ValueError(f"kappa must be nonzero, with 2^-300 <= |kappa| <= 2^300, got {kappa!r}")
     return kappa
 
 
@@ -216,7 +231,7 @@ def invert_momenta(p, kappa=DEFAULT_KAPPA):
         ``1e-8 * |2 kappa / 3|^3`` (checked row by row; no silent
         projection).
     kappa : float
-        Coupling constant, nonzero.
+        Coupling constant, ``2^-300 <= |kappa| <= 2^300``.
 
     Returns
     -------
@@ -224,7 +239,8 @@ def invert_momenta(p, kappa=DEFAULT_KAPPA):
         Velocities ``adj(N) / c^2``, ``c = 2 kappa / 3``, whose cubic form
         ``(det N / c^3)^2`` misses 1 by up to about ``2e-8`` at the admission
         edge and by more near the isotropic cone, so :class:`Trajectory` may
-        refuse them.  :func:`canonical_momenta` maps them back to ``p`` to that order.
+        refuse them, and so does ``finsler9 propagate``.  :func:`canonical_momenta`
+        maps them back to ``p`` to that order.
     """
     kappa = _check_kappa(kappa)
     p = _stack(p, 9)

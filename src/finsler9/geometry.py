@@ -373,9 +373,11 @@ def _cubic_gradient(x):
 
     It is the sharp map: component ``a`` is ``tr(lambda_a adj X)``.  Each
     block forms the terms ``(w * x[b]) * x[c]`` of ``_GRADIENT_TERMS`` at
-    once and sums them step by step from ``+0``: the dense einsum's own
-    order, without its zero terms, so both give the same bits for finite
-    ``x``, and a stack gives the bits of its rows.
+    once and sums them step by step from ``+0``: the order of the dense
+    ``3 einsum("abc,...b,...c->...a", G, x, x)``, without its zero terms,
+    so both give the same bits for finite ``x``, and a stack gives the
+    bits of its rows.  That einsum is not library code: the tests keep it
+    as their oracle, ``gradient_oracle``.
     """
     x = _stack(x, 9)
     rows = x.reshape(-1, 9)

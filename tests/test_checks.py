@@ -1,5 +1,7 @@
 """Tests for the invariant-suite runner."""
 
+import pytest
+
 from finsler9.checks import CHECK_NAMES, CHECKS, all_passed, run_checks
 
 
@@ -63,3 +65,16 @@ def test_trial_counts_are_unchanged():
 def test_action_equivalence_compares_two_computations():
     # a residual of exactly 0 would mean both sides had become one computation
     assert run_checks(seed=0, trials=50)["action_equivalence"]["worst_residual"] > 0
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"trials": 0}, "trials must be a positive integer"),
+    ({"trials": 2.0}, "trials must be a positive integer"),
+    ({"seed": -1}, "seed must be a non-negative integer"),
+    ({"seed": 0.5}, "seed must be a non-negative integer"),
+    ({"tolerances": {"duality": float("nan")}}, "the tolerance of duality is NaN"),
+    ({"tolerances": {"nope": 1.0}}, "unknown check 'nope'"),
+])
+def test_arguments_are_refused_before_any_check_runs(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        run_checks(**{"trials": 1, **kwargs})

@@ -263,23 +263,6 @@ class TestStreamedTrajectory:
         assert max(rows) <= CHUNK_ROWS
         assert sum(rows) == samples + (fmt == "csv")
 
-    @pytest.mark.parametrize("flags, expected_code", [
-        (["--momenta", *ZEROS9, "--samples", "3"], 2),
-        (["--momenta", *DIAG_MOMENTA, "--samples", "3", "--kappa", "0"], 64),
-        (["--momenta", *DIAG_MOMENTA, "--samples", "0"], 64),
-        (["--x0", *ZEROS9[:8], "1e308", "--momenta", *DIAG_MOMENTA, "--s-max", "1e308",
-          "--samples", "2"], 2),
-    ])
-    def test_failed_checks_leave_no_output_file(self, flags, expected_code, capsys,
-                                                tmp_path):
-        path = tmp_path / "never.csv"
-        code, out, err = run(["propagate", "--x0", *ZEROS9, "--s-max", "1", *flags,
-                              "--out", str(path)], capsys)
-        assert code == expected_code
-        assert out == ""
-        assert len(err.strip().splitlines()) == 1
-        assert not path.exists()
-
 
 # the row templates the trajectory renderer replaced, kept as its oracle
 CSV_ROW = ",".join(["%.17g"] * 10) + "\n"
@@ -617,6 +600,51 @@ class TestCheck:
             assert run(["check", "--trials", "3", "--kappa", kappa], capsys) == (0, plain, "")
 
 
+PROPAGATE = ["propagate", "--x0", *ZEROS9, "--s-max", "1"]
+# momenta that invert_momenta admits, whose velocity misses unit speed by 1.8e-8
+EDGE_MOMENTA = [fmt17(p) for p in canonical_momenta(
+    unit_speed_velocity(np.random.default_rng(0))) * (1 + 3e-9)]
+REDUCE4D = ["reduce4d", "--xdot47", *ZEROS9[:4]]
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("argv, expected_code, token", [
+        ([*PROPAGATE, "--momenta", *ZEROS9, "--samples", "3"], 2, "InconsistentMomenta"),
+        ([*PROPAGATE, "--momenta", *DIAG_MOMENTA, "--samples", "3", "--kappa", "0"], 64,
+         "Usage"),
+        ([*PROPAGATE, "--momenta", *DIAG_MOMENTA, "--samples", "0"], 64, "Usage"),
+        ([*PROPAGATE, "--x0", *ZEROS9[:8], "1e308", "--momenta", *DIAG_MOMENTA,
+          "--s-max", "1e308", "--samples", "2"], 2, "NonRealEntry"),
+        ([*PROPAGATE, "--momenta", *DIAG_MOMENTA, "--samples", "3", "--kappa", "1e300"], 64,
+         "Usage"),
+        ([*PROPAGATE, "--momenta", *DIAG_MOMENTA, "--samples", "3", "--kappa", "1e-120"], 64,
+         "Usage"),
+        (["invert", "--momenta", *DIAG_MOMENTA, "--kappa", "1e300"], 64, "Usage"),
+        (["invert", "--momenta", *DIAG_MOMENTA, "--kappa", "1e-120"], 64, "Usage"),
+        (["check", "--trials", "1", "--kappa", "1e300"], 64, "Usage"),
+        (["check", "--trials", "1", "--kappa", "1e-120"], 64, "Usage"),
+        ([*PROPAGATE, "--momenta", *EDGE_MOMENTA, "--samples", "3"], 2, "NotUnitSpeed"),
+        ([*REDUCE4D, "--xdot03", "1e200", "0", "0", "0"], 2, "NonRealEntry"),
+        ([*REDUCE4D, "--xdot03", "1e103", "0", "0", "0", "--format", "json"], 2,
+         "NonRealEntry"),
+        ([*REDUCE4D, "--xdot03", "1", "0", "0", "0", "--mass", "1e308", "--c", "1e308",
+          "--format", "json"], 2, "NonRealEntry"),
+        (["check", "--trials", "5", "--tol", "duality=nan"], 64, "Usage"),
+        (["check", "--trials", "0"], 64, "Usage"),
+        (["check", "--seed", "-1"], 64, "Usage"),
+        (["transform", "--entries", "2", *ZEROS9[:7], "1", *ZEROS9[:7], "1", "0",
+          "--x", *ZEROS9], 2, "NotUnimodular"),
+    ])
+    def test_failed_checks_leave_no_output_file(self, argv, expected_code, token, capsys,
+                                                tmp_path):
+        path = tmp_path / "never.out"
+        code, out, err = run([*argv, "--out", str(path)], capsys)
+        assert code == expected_code
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith(f"{token}: ")
+        assert not path.exists()
+
+
 class TestOutPath:
     @pytest.mark.parametrize("argv", [
         ["propagate", "--x0", *ZEROS9, "--momenta", *DIAG_MOMENTA,
@@ -679,7 +707,9 @@ class TestTopLevel:
         assert proc.stdout.endswith("1,0,0,0,0,0,0,0,1,1\n")
 
     def test_version_is_the_one_in_pyproject(self):
+        tomllib = pytest.importorskip("tomllib")
         pyproject = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
-        declared = re.search(r'^version = "([^"]+)"$', pyproject.read_text(), re.MULTILINE)
-        assert declared is not None
-        assert __version__ == declared.group(1)
+        doc = tomllib.loads(pyproject.read_text())
+        assert "version" not in doc["project"] and "version" in doc["project"]["dynamic"]
+        assert doc["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "finsler9.__version__"}
+        assert re.fullmatch(r"\d+\.\d+\.\d+", __version__)

@@ -43,7 +43,7 @@ from finsler9 import (
     unit_speed_velocity,
     vec_to_matrix,
 )
-from finsler9.dynamics import _DET_TERMS, _GAMMA, _PLAIN_DET_TOL, _cubed_norm
+from finsler9.dynamics import _DET_TERMS, _GAMMA, _KAPPA_RANGE, _PLAIN_DET_TOL, _cubed_norm
 from finsler9.geometry import G, _cubic_gradient, matrix_to_vec, metric_coefficients
 
 DIAG = np.array([1.0, 0, 0, 0, 0, 0, 0, 0, 1.0])
@@ -1101,3 +1101,45 @@ class TestAdmissionCube:
         v = random_nonisotropic_velocity(np.random.default_rng(1022), size=3)
         invert_momenta(canonical_momenta(v / np.cbrt(cubic_form(v))[:, None]))
         assert shapes == [(3, 9), (3, 9), (3, 9)]  # sampler, forward map, inverse map
+
+
+class TestKappaRange:
+    """One rule for kappa: ``2^-300 <= |kappa| <= 2^300``, in every map that takes it."""
+
+    LOW, HIGH = _KAPPA_RANGE
+    OUTSIDE = [np.nextafter(LOW, 0.0), np.nextafter(HIGH, np.inf), 1e-120, 1e300,
+               0.0, np.inf, np.nan]
+    INSIDE = [LOW, HIGH]
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("kappa", OUTSIDE)
+    @pytest.mark.parametrize("func", [lagrangian, canonical_momenta, canonical_energy,
+                                      matrix_identity_residual])
+    def test_forward_maps_refuse_kappa_outside(self, func, kappa, sign):
+        with pytest.raises(ValueError, match="^kappa must be nonzero"):
+            func(DIAG, sign * kappa)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("kappa", OUTSIDE)
+    @pytest.mark.parametrize("func", [momentum_constraint_residual, invert_momenta])
+    def test_inverse_maps_refuse_kappa_outside(self, func, kappa, sign):
+        p = np.array([-2 / 3, 0, 0, 0, 0, 0, 0, 0, -1 / 3])
+        with pytest.raises(ValueError, match="^kappa must be nonzero"):
+            func(p, sign * kappa)
+
+    def test_overflowing_and_vacuous_examples_are_refused(self):
+        # c^3 overflowed (a bare OverflowError) or underflowed to 0 (admitting anything)
+        with pytest.raises(ValueError):
+            momentum_constraint_residual(np.ones(9), kappa=1e300)
+        with pytest.raises(ValueError):
+            invert_momenta(np.random.default_rng(5).uniform(-1, 1, 9) * 1e-120, kappa=1e-120)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("kappa", INSIDE)
+    def test_round_trip_holds_just_inside_each_end(self, kappa, sign):
+        # within the inversion_round_trip check's tolerance
+        v = unit_speed_velocity(np.random.default_rng(1103), size=500)
+        p = canonical_momenta(v, sign * kappa)
+        assert np.abs(invert_momenta(p, sign * kappa) - v).max() <= 1e-9
+        c3 = abs(2 * kappa / 3) ** 3
+        assert np.abs(momentum_constraint_residual(p, sign * kappa)).max() <= 1e-9 * c3
