@@ -335,7 +335,7 @@ CHECK_NAMES = [spec.name for spec in CHECKS]
 
 def _check_arguments(seed, trials, tolerances):
     """ValueError unless ``seed >= 0`` and ``trials >= 1`` are integers and
-    ``tolerances`` maps names of ``CHECK_NAMES`` to values that are not NaN."""
+    ``tolerances`` maps names of ``CHECK_NAMES`` to finite values."""
     if not (isinstance(seed, numbers.Integral) and seed >= 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if not (isinstance(trials, numbers.Integral) and trials >= 1):
@@ -343,8 +343,9 @@ def _check_arguments(seed, trials, tolerances):
     for name, value in (tolerances or {}).items():
         if name not in CHECK_NAMES:
             raise ValueError(f"unknown check {name!r} in tolerances")
-        if np.isnan(float(value)):
-            raise ValueError(f"the tolerance of {name} is NaN")
+        value = float(value)
+        if not np.isfinite(value):  # an infinite tolerance would switch its check off
+            raise ValueError(f"the tolerance of {name} is {'NaN' if np.isnan(value) else value}")
 
 
 def run_checks(seed=0, trials=500, tolerances=None):
@@ -353,7 +354,8 @@ def run_checks(seed=0, trials=500, tolerances=None):
     ``tolerances`` optionally overrides the default tolerance per check
     name.  Same seed and trials always produce the same report.  A seed
     that is not a non-negative integer, trials that are not a positive
-    integer, an unknown check name or a NaN tolerance raise ValueError.
+    integer, an unknown check name or a tolerance that is not finite raise
+    ValueError.
     """
     _check_arguments(seed, trials, tolerances)
     tolerances = tolerances or {}

@@ -22,17 +22,13 @@ import numpy as np
 from .checks import _check_arguments, all_passed, run_checks
 from .dynamics import Trajectory, _check_kappa, invert_momenta
 from .exceptions import FinslerError, NonRealEntry
-from .geometry import _split, _two_product, conjugation_action, cubic_form, vec_to_matrix
+from .geometry import conjugation_action, cubic_form, vec_to_matrix
 from .minkowski import assemble_velocity, minkowski_norm_sq
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_DOMAIN = 2
 EXIT_USAGE = 64
-
-#: Trajectory rows rendered and written at a time by ``propagate``.
-CHUNK_ROWS = 4096
-
 
 class UsageError(Exception):
     pass
@@ -127,133 +123,16 @@ def _read_matrix(args):
     return pairs[..., 0] + 1j * pairs[..., 1]
 
 
-# The trajectory renderer's tables.  A value's text is 24 bytes, three
-# little-endian words, padded with zero bytes: byte 1 the sign, 2-6 the
-# lead "0.000" of a value below 1, 7 the first of its 17 digits and 8-23
-# the other sixteen.  A row is a separator word before each of its ten
-# values and a closing word; dropping every zero byte leaves the text.
-
-_U8 = np.dtype("<u8")
-
-
-def _word(text):
-    return int.from_bytes(text.encode(), "little")
-
-
-_SEPARATORS = {
-    "csv": (np.array([_word(t) for t in [""] + [","] * 9], _U8), _word("\n")),
-    "json": (np.array([_word(t) for t in [', {"s": ', ', "x": ['] + [", "] * 8], _U8),
-             _word("]}")),
-}
-
-_c = 48 + np.arange(10, dtype=_U8)
-_nonzero = (np.arange(10) != 0).astype(np.int8)
-#: ASCII of the 4-digit groups 0..9999, first digit in the lowest byte.
-_ASCII4 = (_c[:, None, None, None] | _c[:, None, None] << 8 | _c[:, None] << 16
-           | _c << 24).ravel()
-#: Place among the 17 digits of the last nonzero digit of group ``j``
-#: (digits ``4 j + 2`` to ``4 j + 5``), or 1 when the group is zero.
-_last = np.maximum(np.maximum(_nonzero[:, None, None, None], 2 * _nonzero[:, None, None]),
-                   np.maximum(3 * _nonzero[:, None], 4 * _nonzero)).ravel()
-_LAST = np.where(_last > 0, _last + np.arange(1, 14, 4, dtype=np.int8)[:, None], np.int8(1))
-
-# Masks by key (X + 4) * 18 + K for the decimal exponent X in -4..16 and
-# the K significant digits left when trailing zeros go.  The integer part
-# of a value of at least 1 moves one byte down, to make room for its dot.
-_X, _K, _b = np.arange(-4, 17)[:, None, None], np.arange(18)[:, None], np.arange(24)
-_SHIFT = (_X >= 0) & (_b >= 6) & (_b <= 6 + _X)
-_KEEP = (_b >= 8 + np.maximum(_X, -1)) & (_b - 6 <= _K)
-_LEAD = np.where((_X < 0) & (_b >= 6 + _X) & (_b <= 6), np.where(_b == 7 + _X, 46, 48),
-                 46 * ((_X >= 0) & (_K > _X + 1) & (_b == 7 + _X)))
-_SHIFT, _KEEP, _LEAD = (  # as (3, 378) words by word and key
-    np.ascontiguousarray(np.broadcast_to(m, (21, 18, 24)), np.uint8).view(_U8)
-    .reshape(-1, 3).T.copy() for m in (_SHIFT * 255, _KEEP * 255, _LEAD))
-#: ``10^q`` for ``q`` in 0..20, every one an exact double, and its halves;
-#: the powers ``10^-4..10^17``, each the double nearest it and not below.
-_SCALE = np.array([float(f"1e{q}") for q in range(21)])
-_SCALE_HI, _SCALE_LO = _split(_SCALE)
-_POW = np.array([float(f"1e{k}") for k in range(-4, 18)])
-del _c, _nonzero, _last, _X, _K, _b
-
-
-def _text_words(v):
-    """``format(x, ".17g")`` of each ``x`` in ``v``: 24 zero-padded bytes, ``(3, n)`` words.
-
-    Zeros and ``1e-4 <= |x| < 1e17`` print in fixed point, rendered by
-    :func:`_fixed_point_words`; every other value is formatted by Python,
-    all in one ``%``, into its own three words.
-    """
-    a = np.abs(v)
-    fixed = ((a >= 1e-4) & (a < 1e17)) | (a == 0)
-    if fixed.all():
-        return _fixed_point_words(v)
-    at, other = np.flatnonzero(fixed), np.flatnonzero(~fixed)
-    w = np.empty((3, len(v)), _U8)
-    w[:, at] = _fixed_point_words(v[at])
-    # one % for the batch; "%.17g" is at most 24 characters, and the text has no spaces
-    text = np.frombuffer(b"%-24.17g" * len(other) % tuple(v[other].tolist()), np.uint8)
-    w[:, other] = (text * (text != ord(" "))).view(_U8).reshape(-1, 3).T
-    return w
-
-
-def _fixed_point_words(v):
-    """The words of :func:`_text_words` for zeros and ``1e-4 <= |x| < 1e17``.
-
-    ``|x| 10^q = p + e`` is exact (Dekker) with ``q = 16 - X`` for the
-    decimal exponent ``X``, and ``p >= 2^53`` is an even integer, so
-    ``p + rint(e)`` is ``x`` rounded to 17 digits, half to even.  It has
-    17 digits: a value rounds up to the power of ten above it only from
-    within ``5e-18`` of it, relatively, and no double of the window does
-    (the nearest is ``8.3e-17`` below ``0.1``).
-    """
-    a = np.abs(v)
-    zero = a == 0
-    x = (np.frexp(a)[1].astype(np.int64) - 1) * 78913 >> 18  # floor((e - 1) log10 2)
-    x += (a >= _POW[x + 5]) | zero
-    q = 16 - x
-    p, e = _two_product((a, *_split(a)), (_SCALE[q], _SCALE_HI[q], _SCALE_LO[q]))
-    d = p.astype(np.int64) + np.rint(e).astype(np.int64)
-    hi = d // 10**8  # the first digit and four groups of four: no int64 %, which is slow
-    lo = d - hi * 10**8
-    top, mid = hi // 10**4, lo // 10**4
-    first = top // 10**4
-    g = first, top - first * 10**4, hi - top * 10**4, mid, lo - mid * 10**4
-    k = np.maximum(np.maximum(_LAST[0, g[1]], _LAST[1, g[2]]),
-                   np.maximum(_LAST[2, g[3]], _LAST[3, g[4]]))
-    key = (x + 4) * 18 + k
-    w = np.empty((3, len(v)), _U8)
-    w[0] = (g[0] + 48).astype(_U8) << 56
-    w[1] = _ASCII4[g[1]] | _ASCII4[g[2]] << 32
-    w[2] = _ASCII4[g[3]] | _ASCII4[g[4]] << 32
-    shifted = w >> 8
-    shifted[:2] |= w[1:] << 56
-    shifted &= np.take(_SHIFT, key, axis=1)
-    w &= np.take(_KEEP, key, axis=1)
-    w |= shifted
-    w |= np.take(_LEAD, key, axis=1)
-    w[0] |= np.signbit(v).astype(_U8) * _word("\0-")
-    return w
-
-
-def _render_rows(rows, fmt):
-    """The text of ``(n, 10)`` trajectory rows, each opened by its separator ("" or ", ")."""
-    sep, close = _SEPARATORS[fmt]
-    n = len(rows)
-    buf = np.empty((n, 41), _U8)
-    fields = buf[:, :40].reshape(n, 10, 4)
-    fields[..., 0] = sep
-    fields[..., 1:] = _text_words(rows.ravel()).T.reshape(n, 10, 3)
-    buf[:, 40] = close
-    return buf.tobytes().translate(None, b"\0").decode("ascii")
-
-
 def _write_trajectory(handle, fmt, kappa, traj, s_values):
-    """Stream ``traj.at(s)`` for ``s`` in ``s_values`` to ``handle``, CHUNK_ROWS rows a write.
+    """Stream ``traj.at(s)`` for ``s`` in ``s_values`` to ``handle``, one block of rows a write.
 
-    Each chunk is computed by :meth:`Trajectory.at`, rendered by
-    :func:`_render_rows` and written before the next, so memory does not
-    grow with the sample count beyond ``s_values`` itself.
+    Each block of ``_render.CHUNK_ROWS`` rows is computed by
+    :meth:`Trajectory.at`, rendered in one fixed workspace and written
+    before the next, so memory does not grow with the sample count beyond
+    ``s_values`` itself.
     """
+    from . import _render  # only propagate builds the renderer's tables
+
     if fmt == "csv":
         handle.write("s," + ",".join(f"X{a}" for a in range(9)) + "\n")
         skip, tail = 0, ""
@@ -261,9 +140,11 @@ def _write_trajectory(handle, fmt, kappa, traj, s_values):
         head = _to_json({"kappa": kappa, "x0": list(traj.x0), "v0": list(traj.v0)})
         handle.write(head[:-1] + ', "samples": [')
         skip, tail = len(", "), "]}\n"  # the first row opens with no separator
-    for start in range(0, len(s_values), CHUNK_ROWS):
-        s = s_values[start:start + CHUNK_ROWS]
-        text = _render_rows(np.column_stack([s, traj.at(s)]), fmt)
+    rows = _render.CHUNK_ROWS
+    renderer = _render.Renderer(fmt, min(len(s_values), rows))
+    for start in range(0, len(s_values), rows):
+        s = s_values[start:start + rows]
+        text = renderer.text(s, traj.at(s))
         handle.write(text if start else text[skip:])
     handle.write(tail)
 

@@ -95,6 +95,16 @@ def _check_kappa(kappa):
     return kappa
 
 
+def _check_kappas(kappa):
+    """``kappa`` as a float array, or :func:`_check_kappa`'s ValueError for its first element outside."""
+    kappa = np.asarray(kappa, dtype=float)
+    size = np.abs(kappa)
+    outside = ~((size >= _KAPPA_RANGE[0]) & (size <= _KAPPA_RANGE[1]))  # NaN is outside too
+    if outside.any():
+        _check_kappa(kappa[outside].flat[0])
+    return kappa
+
+
 def _cubed_norm(x):
     """``|x|^3`` of ``(..., 9)`` rows as ``n * n * n``, ``n = |x|``.
 

@@ -11,6 +11,7 @@ minus mass times speed of light.
 
 import numpy as np
 
+from .dynamics import _check_kappas
 from .exceptions import BlockLeakage, NonTimelike
 from .geometry import _item, _require_unimodular, _stack, cubic_form, group_action
 
@@ -136,7 +137,9 @@ def reduced_action_check(tau, xdot4, spinor, mass, light_speed, kappa=None):
     sample.  Returns ``(cubic_action, minkowski_action)``: the first is the
     9-space action at coupling ``kappa`` (default ``-mass * light_speed``),
     the second is ``-mass * light_speed`` times the proper-time integral.
-    They agree exactly when ``kappa`` keeps its default value.
+    They agree exactly when ``kappa`` keeps its default value.  A ``kappa``,
+    given or default, with an element outside ``2^-300 <= |kappa| <= 2^300``
+    raises ValueError, as in the maps of :mod:`finsler9.dynamics`.
 
     Curves stacked as ``(..., n, 4)`` with ``mass``, ``light_speed`` and
     ``kappa`` broadcasting against ``(...)`` give two ``(...)`` arrays;
@@ -146,7 +149,7 @@ def reduced_action_check(tau, xdot4, spinor, mass, light_speed, kappa=None):
     light_speed = np.asarray(light_speed, dtype=float)
     if not (np.all(mass > 0) and np.all(light_speed > 0)):
         raise ValueError("mass and light speed must be positive")
-    kappa = np.asarray(-mass * light_speed if kappa is None else kappa, dtype=float)
+    kappa = _check_kappas(-mass * light_speed if kappa is None else kappa)
     tau = np.asarray(tau, dtype=float)
     nine = assemble_velocity(xdot4, spinor)
     q = minkowski_norm_sq(nine[..., _VEC])

@@ -74,6 +74,9 @@ def test_action_equivalence_compares_two_computations():
     ({"seed": 0.5}, "seed must be a non-negative integer"),
     ({"tolerances": {"duality": float("nan")}}, "the tolerance of duality is NaN"),
     ({"tolerances": {"nope": 1.0}}, "unknown check 'nope'"),
+    ({"tolerances": {"duality": float("inf")}}, "the tolerance of duality is inf"),
+    ({"tolerances": {"constant_count": float("-inf")}},
+     "the tolerance of constant_count is -inf"),
 ])
 def test_arguments_are_refused_before_any_check_runs(kwargs, message):
     with pytest.raises(ValueError, match=message):

@@ -2,8 +2,6 @@
 
 import itertools
 import re
-import subprocess
-import sys
 import warnings
 from fractions import Fraction
 
@@ -53,6 +51,8 @@ from finsler9.geometry import (
     _require_unimodular,
     _terms,
 )
+
+from faults import minor_faults
 
 #: Rows per block of ``_cubic_gradient``.
 TERM_ROWS = _CACHE_TERMS // _GRADIENT_TERMS[-1].size
@@ -908,20 +908,17 @@ class TestPrescaledProducts:
         # two large temporaries freed in each block make glibc's malloc give
         # their pages back and fault them in again: about 675 faults a
         # 2 500-row gradient call in a fresh process, and 3-4x the time
-        pytest.importorskip("resource")
         code = (
-            "import resource, numpy as np\n"
+            "import numpy as np\n"
             "from finsler9.geometry import _cubic_gradient\n"
             "x = np.random.default_rng(0).uniform(-1, 1, size=(2500, 9))\n"
             "_cubic_gradient(x)\n"
-            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "before = minflt()\n"
             "for _ in range(100):\n"
             "    _cubic_gradient(x)\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+            "print(minflt() - before)\n"
         )
-        run = subprocess.run([sys.executable, "-c", code],
-                             capture_output=True, text=True, check=True)
-        assert int(run.stdout) < 1000
+        assert minor_faults(code) < 1000
 
 
 class TestNorm:

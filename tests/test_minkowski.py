@@ -295,6 +295,19 @@ class TestReducedAction:
         with pytest.raises(ValueError):
             reduced_action_check(tau, x4, np.zeros((201, 4)), -1.0, 1.0)
 
+    @pytest.mark.parametrize("kappa", [0.0, np.nan, 1e300, 1e-120])
+    def test_rejects_kappa_outside_the_range(self, kappa):
+        tau = np.linspace(0.0, 1.0, 5)
+        x4 = np.tile([1.0, 0, 0, 0], (5, 1))
+        with pytest.raises(ValueError, match="^kappa must be nonzero"):
+            reduced_action_check(tau, x4, np.zeros((5, 4)), 1.0, 1.0, kappa=kappa)
+
+    def test_rejects_a_default_kappa_outside_the_range(self):
+        tau = np.linspace(0.0, 1.0, 5)
+        x4 = np.tile([1.0, 0, 0, 0], (5, 1))
+        with pytest.raises(ValueError, match="^kappa must be nonzero"):
+            reduced_action_check(tau, x4, np.zeros((5, 4)), 2.0**-301, 1.0)
+
     def test_rejects_spacelike_sample(self):
         tau = np.linspace(0.0, 1.0, 201)
         x4 = np.tile([1.0, 0, 0, 0], (201, 1))
