@@ -55,6 +55,10 @@ def _fmt(value):
     return format(float(value), ".17g")
 
 
+#: Non-finite values as ``json.loads`` reads them (``%.17g`` gives ``nan``, ``inf``).
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def _to_json(value):
     if isinstance(value, dict):
         items = ", ".join(f'"{k}": {_to_json(v)}' for k, v in value.items())
@@ -63,7 +67,8 @@ def _to_json(value):
         return "[" + ", ".join(_to_json(v) for v in value) + "]"
     if isinstance(value, int):
         return str(value)
-    return _fmt(value)
+    text = _fmt(value)
+    return _JSON_NONFINITE.get(text, text)
 
 
 def _parse_floats(tokens, what):

@@ -38,6 +38,8 @@ from finsler9 import (
 )
 from finsler9.checks import all_passed, run_checks
 
+from faults import peak_rss_mb
+
 DIAG_MOMENTA = ["-0.6666666666666666", "0", "0", "0", "0", "0", "0", "0",
                 "-0.3333333333333333"]
 
@@ -264,6 +266,20 @@ def test_13_invariant_suite_runtime():
     ok = len(report) == 27 and all_passed(report)
     verdict("13 invariant suite, 27 checks at 500 trials", ok,
             time.perf_counter() - start, 1.0)
+
+
+def test_18_invariant_suite_memory(tmp_path):
+    # memory holds the draws plus one block of evaluation; holding every
+    # trial's arrays at once, the same command peaked at about 254 MB
+    path = tmp_path / "report.json"
+    start = time.perf_counter()
+    peak = peak_rss_mb(["-m", "finsler9", "check", "--seed", "0", "--trials", "5000",
+                        "--out", str(path)])
+    elapsed = time.perf_counter() - start
+    report = json.loads(path.read_text())
+    print(f"peak RSS {peak:.1f} MB")
+    ok = len(report) == 27 and all_passed(report) and peak < 80.0
+    verdict("18 invariant suite at 5000 trials in under 80 MB", ok, elapsed, 5.0)
 
 
 def test_14_propagate_runtime(tmp_path):

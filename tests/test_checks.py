@@ -1,7 +1,12 @@
 """Tests for the invariant-suite runner."""
 
+import dataclasses
+import math
+
+import numpy as np
 import pytest
 
+from finsler9 import checks
 from finsler9.checks import CHECK_NAMES, CHECKS, all_passed, run_checks
 
 
@@ -81,3 +86,73 @@ def test_action_equivalence_compares_two_computations():
 def test_arguments_are_refused_before_any_check_runs(kwargs, message):
     with pytest.raises(ValueError, match=message):
         run_checks(**{"trials": 1, **kwargs})
+
+
+@pytest.mark.parametrize("cmp", ["le", "ge"])
+def test_a_nan_residual_is_a_failure(cmp, monkeypatch):
+    # the residual 0 passes either direction at tolerance 0; the NaN must fail it
+    spec = dataclasses.replace(CHECKS[1], tolerance=0.0, cmp=cmp,
+                               fn=lambda rng, trials: np.array([0.0, np.nan]))
+    monkeypatch.setattr(checks, "CHECKS", [CHECKS[0], spec, *CHECKS[2:]])
+    report = run_checks(seed=0, trials=2)
+    assert report[spec.name]["failures"] == 1
+    assert math.isnan(report[spec.name]["worst_residual"])
+    assert not all_passed(report)
+
+
+def _residuals(trials):
+    return [np.asarray(spec.fn(np.random.default_rng([0, idx]), trials), dtype=float)
+            for idx, spec in enumerate(CHECKS)]
+
+
+def _assert_same_bits(a, b, name=""):
+    assert a.shape == b.shape, name
+    assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b)), name
+
+
+# 21 trials are just past the default block edge of the curve checks (20 trials)
+@pytest.mark.parametrize("trials", [1, 7, 8, 50, 21])
+@pytest.mark.parametrize("block", [1, 7])
+def test_block_size_changes_no_bits(block, trials, monkeypatch):
+    expected = _residuals(trials)
+    monkeypatch.setattr(checks, "_BLOCK_ROWS", block)
+    for spec, got, want in zip(CHECKS, _residuals(trials), expected):
+        _assert_same_bits(got, want, spec.name)
+
+
+@pytest.mark.parametrize("spec", [s for s in CHECKS if hasattr(s.fn, "rows")],
+                         ids=lambda spec: spec.name)
+def test_a_run_just_past_the_default_block_edge_changes_no_bits(spec, monkeypatch):
+    idx = CHECKS.index(spec)
+    trials = checks._BLOCK_ROWS // spec.fn.rows + 1
+    expected = spec.fn(np.random.default_rng([0, idx]), trials)
+    monkeypatch.setattr(checks, "_BLOCK_ROWS", 7)
+    _assert_same_bits(spec.fn(np.random.default_rng([0, idx]), trials), expected)
+
+
+def _old_random_timelike_curve(rng, trials, n=201):
+    """The curve sampler as it was before the checks drew parameters only."""
+    tau = np.linspace(0.0, 1.0, n)
+    wave = 2.0 * np.pi * tau[:, None]
+    phase = rng.uniform(0.0, 2.0 * np.pi, size=(trials, 1, 3))
+    spatial = 0.4 * np.sin(wave + phase) * rng.uniform(0.2, 1.0, size=(trials, 1, 3))
+    q = (0.5 + 0.3 * np.sin(wave[:, 0] + rng.uniform(0.0, 2.0 * np.pi, size=(trials, 1)))
+         + rng.uniform(0.2, 1.0, size=(trials, 1)))
+    x4 = np.concatenate([np.sqrt(q + np.sum(spatial**2, axis=-1))[..., None], spatial], axis=-1)
+    spinor = 0.2 * np.sqrt(q)[..., None] * np.sin(
+        wave + rng.uniform(0.0, 2.0 * np.pi, size=(trials, 1, 4))
+    )
+    mass, speed = rng.uniform(0.5, 2.0, size=(2, trials))
+    return tau, x4, spinor, mass, speed
+
+
+@pytest.mark.parametrize("trials", [1, 20, 21, 500])
+def test_curve_parameters_expand_to_the_old_curves(trials):
+    old_rng, new_rng = np.random.default_rng([5, 24]), np.random.default_rng([5, 24])
+    expected = _old_random_timelike_curve(old_rng, trials)
+    *curve, mass, speed = checks._curve_parameters(new_rng, trials)
+    assert all(p.shape[0] == trials and p[0].size <= 4 for p in (*curve, mass, speed))
+    got = (*checks._timelike_curve(*curve), mass, speed)
+    for a, b in zip(got, expected):
+        _assert_same_bits(a, b)
+    assert new_rng.bit_generator.state == old_rng.bit_generator.state

@@ -5,6 +5,7 @@ import pathlib
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from finsler9 import (
     __version__,
     canonical_momenta,
+    checks,
     cubic_form,
     invert_momenta,
     unit_speed_velocity,
@@ -616,6 +618,25 @@ class TestCheck:
         code, out, err = run(["check", "--trials", "1", "--kappa", kappa], capsys)
         assert (code, out) == (expected_code, "")
         assert err.startswith(prefix)
+
+    @pytest.mark.parametrize("cmp", ["le", "ge"])
+    def test_a_nan_residual_fails_and_the_report_stays_json(self, cmp, tmp_path, capsys,
+                                                            monkeypatch):
+        spec = replace(checks.CHECKS[1], tolerance=0.0, cmp=cmp,
+                       fn=lambda rng, trials: np.array([0.0, np.nan]))
+        monkeypatch.setattr(checks, "CHECKS", [checks.CHECKS[0], spec, *checks.CHECKS[2:]])
+        path = tmp_path / "report.json"
+        code, out, err = run(["check", "--trials", "2", "--out", str(path)], capsys)
+        assert (code, out, err) == (1, "", "CheckFailure: 1 of 27 checks failed\n")
+        text = path.read_text()
+        assert f'"{spec.name}": {{"trials": 2, "failures": 1, "worst_residual": NaN}}' in text
+        assert np.isnan(json.loads(text)[spec.name]["worst_residual"])
+
+    def test_non_finite_numbers_are_written_as_json_loads_reads_them(self):
+        doc = {"a": float("nan"), "b": [float("inf"), -float("inf"), 0.1, 3]}
+        text = _to_json(doc)
+        assert text == '{"a": NaN, "b": [Infinity, -Infinity, 0.10000000000000001, 3]}'
+        assert json.loads(text)["b"][:2] == [float("inf"), -float("inf")]
 
     def test_a_valid_kappa_keeps_the_report_bytes(self, capsys):
         _, plain, _ = run(["check", "--trials", "3"], capsys)
