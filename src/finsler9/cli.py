@@ -8,12 +8,14 @@ seeded invariant suite).
 Every number is rendered with 17 significant digits, which round-trips
 double precision, so identical inputs always produce byte-identical
 output.  Errors print a single line ``Token: detail`` to stderr; exit codes
-are 0 (success), 1 (check failure or malformed numeric input), 2 (domain
-error), 64 (usage).
+are 0 (success), 1 (check failure, malformed numeric input, or an output
+that cannot be opened or written), 2 (domain error), 64 (usage).
 """
 
 import argparse
 import contextlib
+import gc
+import os
 import re
 import sys
 
@@ -90,16 +92,17 @@ def _parse_kappa(token):
 
 @contextlib.contextmanager
 def _output(out):
-    """The ``--out`` file opened for writing, or stdout when none is given."""
-    if not out:
-        yield sys.stdout
-        return
+    """The ``--out`` file opened for writing, or stdout when none is given.
+
+    Everything written is flushed on leaving.  An ``OSError`` from opening,
+    writing, flushing or closing raises MalformedInput naming the output.
+    """
     try:
-        handle = open(out, "w")
+        with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as handle:
+            yield handle
+            handle.flush()
     except OSError as exc:
-        raise MalformedInput(f"--out: {exc}") from None
-    with handle:
-        yield handle
+        raise MalformedInput(f"{'--out' if out else 'stdout'}: {exc}") from None
 
 
 def _emit(args, columns, values, doc):
@@ -309,4 +312,16 @@ def main(argv=None):
 
 
 def entry():
-    sys.exit(main())
+    """The ``finsler9`` process: :func:`main` on ``sys.argv``, then exit with its code."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # main has reported the failed write; the bytes stdout still holds
+        # go nowhere, so that the interpreter's last flush adds no line
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    # Finalisation runs full collections over every tracked object that the
+    # imports made; frozen objects sit in the permanent generation, which
+    # those collections skip.
+    gc.freeze()
+    sys.exit(code)

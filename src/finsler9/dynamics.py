@@ -351,11 +351,21 @@ class Trajectory:
         return s, self.at(s)
 
 
-def _grid(tau, k):
-    """``tau`` as a float grid, or DegeneratePath unless it is 1-d with ``k`` samples or more."""
+def _grid(tau, k, curve=None):
+    """``tau`` as a float grid for the samples of ``curve``, an ``(..., samples, m)`` array.
+
+    DegeneratePath unless ``tau`` is 1-d and finite with ``k`` samples or
+    more; ValueError naming both shapes unless ``curve`` has one sample a
+    grid point.
+    """
     tau = np.asarray(tau, dtype=float)
     if tau.ndim != 1 or len(tau) < k:
         raise DegeneratePath(f"need a 1-d grid of at least {k} samples, got shape {tau.shape}")
+    if not np.isfinite(tau).all():
+        raise DegeneratePath(f"need a finite grid, got {float(tau[~np.isfinite(tau)][0])}")
+    if curve is not None and np.shape(curve)[-2:-1] != tau.shape:
+        raise ValueError(f"a grid of shape {tau.shape} does not align with the samples of a "
+                         f"curve of shape {np.shape(curve)}")
     return tau
 
 
@@ -366,10 +376,12 @@ def arc_length(tau, positions):
     first order at the ends), the integrand is the real cube root of
     their cubic form, and the running integral is a composite trapezoid
     starting at 0.  Every sample must be nonisotropic, and ``tau`` must be
-    a 1-d grid of at least 3 samples (otherwise :class:`DegeneratePath`).
+    a finite 1-d grid of at least 3 samples (otherwise
+    :class:`DegeneratePath`) with one point a row of ``positions``
+    (otherwise ValueError).
     """
-    tau = _grid(tau, 3)
     positions = np.asarray(positions, dtype=float)
+    tau = _grid(tau, 3, positions)
     vel = np.gradient(positions, tau, axis=0)
     speed = np.cbrt(_nonisotropic_form(vel))
     steps = np.diff(tau) * 0.5 * (speed[1:] + speed[:-1])
@@ -381,8 +393,8 @@ def reparametrize(traj, s_of_tau, tau):
 
     ``s_of_tau`` is either a callable or an array of arc-length values
     aligned with ``tau``; it must start at 0 and be strictly monotone
-    (otherwise :class:`NonMonotone`).  ``tau`` is a 1-d grid of at least
-    2 samples (otherwise :class:`DegeneratePath`).  Returns
+    (otherwise :class:`NonMonotone`).  ``tau`` is a finite 1-d grid of at
+    least 2 samples (otherwise :class:`DegeneratePath`).  Returns
     ``(tau, positions)``.
     """
     tau = _grid(tau, 2)
@@ -401,11 +413,14 @@ def discrete_action(tau, positions, kappa=DEFAULT_KAPPA):
     """Trapezoid action of a sampled curve with finite-difference velocities.
 
     ``positions`` has shape ``(..., samples, 9)``; the result has shape
-    ``(...)``, one action per curve (a float for a single curve).  Fewer
-    than 2 samples raise :class:`DegeneratePath`.
+    ``(...)``, one action per curve (a float for a single curve).  A grid
+    ``tau`` with fewer than 2 samples or a non-finite one raises
+    :class:`DegeneratePath`, and one whose length is not ``samples``
+    raises ValueError.
     """
-    tau = _grid(tau, 2)
-    vel = np.gradient(np.asarray(positions, dtype=float), tau, axis=-2)
+    positions = np.asarray(positions, dtype=float)
+    tau = _grid(tau, 2, positions)
+    vel = np.gradient(positions, tau, axis=-2)
     return _item(np.trapezoid(lagrangian(vel, kappa), tau))
 
 

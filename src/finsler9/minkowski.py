@@ -11,7 +11,7 @@ minus mass times speed of light.
 
 import numpy as np
 
-from .dynamics import _check_kappas
+from .dynamics import _check_kappas, _grid
 from .exceptions import BlockLeakage, NonTimelike
 from .geometry import _item, _require_unimodular, _stack, cubic_form, group_action
 
@@ -143,15 +143,17 @@ def reduced_action_check(tau, xdot4, spinor, mass, light_speed, kappa=None):
 
     Curves stacked as ``(..., n, 4)`` with ``mass``, ``light_speed`` and
     ``kappa`` broadcasting against ``(...)`` give two ``(...)`` arrays;
-    one curve gives two floats.
+    one curve gives two floats.  ``tau`` is a finite 1-d grid of at least
+    2 samples (otherwise :class:`DegeneratePath`) with one point a sample
+    of the curve (otherwise ValueError naming both shapes).
     """
     mass = np.asarray(mass, dtype=float)
     light_speed = np.asarray(light_speed, dtype=float)
     if not (np.all(mass > 0) and np.all(light_speed > 0)):
         raise ValueError("mass and light speed must be positive")
     kappa = _check_kappas(-mass * light_speed if kappa is None else kappa)
-    tau = np.asarray(tau, dtype=float)
     nine = assemble_velocity(xdot4, spinor)
+    tau = _grid(tau, 2, nine[..., _VEC])
     q = minkowski_norm_sq(nine[..., _VEC])
     s_cubic = np.trapezoid(kappa[..., None] * np.cbrt(cubic_form(nine)), tau, axis=-1)
     s_mink = np.trapezoid(-(mass * light_speed)[..., None] * np.sqrt(q), tau, axis=-1)

@@ -1,6 +1,8 @@
 """Tests for the command line front end: formats, exit codes, determinism."""
 
+import gc
 import json
+import os
 import pathlib
 import re
 import subprocess
@@ -24,7 +26,7 @@ from finsler9 import (
 from finsler9._render import CHUNK_ROWS, _render_rows
 from finsler9.cli import _fmt, _to_json, main
 
-from faults import minor_faults
+from faults import exit_profile, minor_faults
 
 DIAG_MOMENTA = ["-0.6666666666666666", "0", "0", "0", "0", "0", "0", "0",
                 "-0.3333333333333333"]
@@ -259,7 +261,8 @@ class TestStreamedTrajectory:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_no_write_holds_more_than_one_chunk(self, case, fmt, monkeypatch):
         writes = []
-        monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+        stdout = SimpleNamespace(write=writes.append, flush=lambda: None)
+        monkeypatch.setattr(sys, "stdout", stdout)
         samples = 3 * CHUNK_ROWS + 5
         assert main(case[0] + ["--samples", str(samples), "--format", fmt]) == 0
         assert_same_text("".join(writes), self.oracle(case, fmt, samples))
@@ -777,3 +780,84 @@ class TestTopLevel:
         assert "version" not in doc["project"] and "version" in doc["project"]["dynamic"]
         assert doc["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "finsler9.__version__"}
         assert re.fullmatch(r"\d+\.\d+\.\d+", __version__)
+
+
+# stdout is a BufferedWriter unless PYTHONUNBUFFERED is set; a write can
+# fail in either, and a buffered one can fail again at the last flush.
+STDOUT_BUFFERING = {
+    "buffered": {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
+    "unbuffered": {**os.environ, "PYTHONUNBUFFERED": "1"},
+}
+PROPAGATE_20000 = ["propagate", "--x0", *ZEROS9, "--momenta", *DIAG_MOMENTA,
+                   "--s-max", "1", "--samples", "20000"]
+
+
+def cli_process(argv, env=None, stdout=subprocess.PIPE):
+    return subprocess.run([sys.executable, "-m", "finsler9", *argv], env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True)
+
+
+class TestProcess:
+    """The ``finsler9`` process around ``main``: its exit code, its collector, its writes."""
+
+    def test_the_process_freezes_the_collector_before_it_exits(self):
+        profile = exit_profile(["invert", "--momenta", *DIAG_MOMENTA])
+        assert profile.code == 0
+        assert profile.frozen > 0
+
+    def test_main_in_process_leaves_the_collector_unfrozen(self, capsys):
+        before = gc.get_freeze_count()
+        assert run(["invert", "--momenta", *DIAG_MOMENTA], capsys)[0] == 0
+        assert run(["invert"], capsys)[0] == 64
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("argv, code, prefix", [
+        (["invert", "--momenta", *DIAG_MOMENTA], 0, ""),
+        (["invert", "--momenta", *DIAG_MOMENTA[:8], "abc"], 1, "MalformedInput: "),
+        (["invert", "--momenta", *ZEROS9], 2, "InconsistentMomenta: "),
+        (["invert"], 64, "Usage: "),
+    ], ids=["0", "1", "2", "64"])
+    def test_exit_codes_pass_through_unchanged(self, argv, code, prefix):
+        proc = cli_process(argv)
+        assert proc.returncode == code
+        assert proc.stderr.startswith(prefix) and len(proc.stderr.splitlines()) == bool(prefix)
+
+    @pytest.mark.parametrize("buffering", sorted(STDOUT_BUFFERING))
+    def test_a_reader_that_stops_early_gets_one_line(self, buffering):
+        proc = subprocess.Popen([sys.executable, "-m", "finsler9", *PROPAGATE_20000],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=STDOUT_BUFFERING[buffering])
+        head = proc.stdout.read(100)  # as ``| head -c 100``: the rows fill the pipe first
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert (proc.wait(), head[:5]) == (1, b"s,X0,")
+        assert err == "MalformedInput: stdout: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.parametrize("buffering", sorted(STDOUT_BUFFERING))
+    @pytest.mark.parametrize("argv", [["invert", "--momenta", *DIAG_MOMENTA],
+                                      ["check", "--trials", "1"]], ids=["invert", "check"])
+    def test_a_closed_pipe_gets_one_line(self, argv, buffering):
+        read, write = os.pipe()
+        os.close(read)  # every write fails, the final flush of a buffered stdout too
+        try:
+            proc = cli_process(argv, env=STDOUT_BUFFERING[buffering], stdout=write)
+        finally:
+            os.close(write)
+        assert proc.returncode == 1
+        assert proc.stderr == "MalformedInput: stdout: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.parametrize("buffering", sorted(STDOUT_BUFFERING))
+    @pytest.mark.parametrize("to_out", [False, True], ids=["stdout", "out"])
+    def test_a_full_device_gets_one_line(self, to_out, buffering):
+        if not os.path.exists("/dev/full"):
+            pytest.skip("needs /dev/full")
+        argv = ["check", "--trials", "5"]
+        if to_out:
+            proc = cli_process([*argv, "--out", "/dev/full"], env=STDOUT_BUFFERING[buffering])
+        else:
+            with open("/dev/full", "w") as full:
+                proc = cli_process(argv, env=STDOUT_BUFFERING[buffering], stdout=full)
+        where = "--out" if to_out else "stdout"
+        assert proc.returncode == 1
+        assert proc.stderr == f"MalformedInput: {where}: [Errno 28] No space left on device\n"

@@ -38,6 +38,7 @@ from finsler9 import (
     momentum_constraint_residual,
     random_nonisotropic_velocity,
     random_unimodular,
+    reduced_action_check,
     reparametrize,
     transform_momenta,
     unit_speed_velocity,
@@ -1021,15 +1022,46 @@ class TestDiscreteActionSamples:
         assert discrete_action(tau, positions) == pytest.approx(-1.0)
 
 
+def _rest_actions(tau, samples=None):
+    """``reduced_action_check`` of a particle at rest, at ``samples`` samples (default: tau's)."""
+    shape = np.shape(tau) if samples is None else (samples,)
+    rest = np.broadcast_to([1.0, 0.0, 0.0, 0.0], shape + (4,))
+    return reduced_action_check(tau, rest, np.zeros(shape + (4,)), 1.0, 1.0)
+
+
 class TestGridGuard:
-    """``arc_length``, ``reparametrize`` and ``discrete_action`` share one grid message."""
+    """The functions of a sampled curve share one grid rule and one grid message."""
 
     CALLS = {
         "arc_length": (3, lambda tau: arc_length(tau, np.zeros(np.shape(tau) + (9,)))),
         "reparametrize": (2, lambda tau: reparametrize(Trajectory(np.zeros(9), DIAG),
                                                        np.zeros(np.shape(tau)), tau)),
         "discrete_action": (2, lambda tau: discrete_action(tau, np.zeros(np.shape(tau) + (9,)))),
+        "reduced_action_check": (2, _rest_actions),
     }
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_a_non_finite_sample_raises_degenerate_path(self, name, bad):
+        k, call = self.CALLS[name]
+        tau = np.linspace(0.0, 1.0, k + 2)
+        tau[1] = bad
+        with pytest.raises(DegeneratePath, match=f"^need a finite grid, got {bad}$"):
+            call(tau)
+
+    @pytest.mark.parametrize("name, call", [
+        ("arc_length", lambda tau, n: arc_length(tau, np.zeros((n, 9)) + DIAG)),
+        ("discrete_action", lambda tau, n: discrete_action(tau, np.zeros((2, n, 9)) + DIAG)),
+        ("reduced_action_check", lambda tau, n: _rest_actions(tau, n)),
+    ])
+    @pytest.mark.parametrize("samples", [4, 6])
+    def test_a_grid_of_another_length_names_both_shapes(self, name, call, samples):
+        curve = {"arc_length": (samples, 9), "discrete_action": (2, samples, 9),
+                 "reduced_action_check": (samples, 4)}[name]
+        with pytest.raises(ValueError, match=re.escape(
+                f"a grid of shape (5,) does not align with the samples of a curve of shape "
+                f"{curve}")):
+            call(np.linspace(0.0, 1.0, 5), samples)
 
     @pytest.mark.parametrize("name", sorted(CALLS))
     def test_short_scalar_and_2d_grids_raise_one_message(self, name):
