@@ -355,8 +355,8 @@ def _grid(tau, k, curve=None):
     """``tau`` as a float grid for the samples of ``curve``, an ``(..., samples, m)`` array.
 
     DegeneratePath unless ``tau`` is 1-d and finite with ``k`` samples or
-    more; ValueError naming both shapes unless ``curve`` has one sample a
-    grid point.
+    more; ValueError naming both shapes unless ``curve`` has as many
+    samples as ``tau``.
     """
     tau = np.asarray(tau, dtype=float)
     if tau.ndim != 1 or len(tau) < k:

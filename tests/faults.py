@@ -105,6 +105,6 @@ def exit_profile(argv):
             os.close(write)
         code = proc.wait()
         reaped = time.clock_gettime(time.CLOCK_MONOTONIC)
-        frozen, called, returned = report.read().split() or ("", "", "")
+        frozen, called, returned = report.read().split()
     called, returned = float(called), float(returned)
     return ExitProfile(code, int(frozen), called - start, returned - called, reaped - returned)
