@@ -25,7 +25,7 @@ from .checks import _check_arguments, all_passed, run_checks
 from .dynamics import Trajectory, _check_kappa, invert_momenta
 from .exceptions import FinslerError, NonRealEntry
 from .geometry import conjugation_action, cubic_form, vec_to_matrix
-from .minkowski import assemble_velocity, minkowski_norm_sq
+from .minkowski import _lagrangians
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -51,6 +51,10 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):  # exit 64 instead of argparse's default 2
         raise UsageError(message)
+
+    def print_help(self, file=None):  # a failed write is MalformedInput, as for any output
+        with _output(None) as handle:
+            handle.write(self.format_help())
 
 
 def _fmt(value):
@@ -166,10 +170,7 @@ def _cmd_propagate(args):
         raise UsageError("--samples must be at least 1")
     traj = Trajectory(x0, invert_momenta(momenta, kappa), (0.0, s_max))
     s_values = np.linspace(0.0, s_max, args.samples)
-    with np.errstate(over="ignore"):  # the line is affine in s: its last row bounds every row
-        last = traj.at(s_values[-1])
-    if not np.isfinite(last).all():
-        raise NonRealEntry("the world line is beyond the float range")
+    traj.at(s_values[-1])  # before --out opens; the line is affine in s: its last row bounds all
     with _output(args.out) as handle:
         _write_trajectory(handle, args.format, kappa, traj, s_values)
     return EXIT_OK
@@ -202,18 +203,13 @@ def _cmd_transform(args):
 def _cmd_reduce4d(args):
     xdot03 = _parse_floats(args.xdot03, "--xdot03")
     xdot47 = _parse_floats(args.xdot47, "--xdot47")
-    mass = float(_parse_floats([args.mass], "--mass")[0])
-    light_speed = float(_parse_floats([args.c], "--c")[0])
-    if mass <= 0 or light_speed <= 0:
-        raise UsageError("--mass and --c must be positive")
-    kappa = -mass * light_speed
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite record fails the test below
-        nine = assemble_velocity(xdot03, xdot47)
-        record = {"x8dot": float(nine[8]),
-                  "finsler_density": kappa * float(np.cbrt(cubic_form(nine))),
-                  "minkowski_density": kappa * float(np.sqrt(minkowski_norm_sq(xdot03)))}
-    if not np.isfinite(list(record.values())).all():
-        raise NonRealEntry("the 4D-limit record is beyond the float range")
+    mass = _parse_floats([args.mass], "--mass")[0]
+    light_speed = _parse_floats([args.c], "--c")[0]
+    try:
+        nine, cubic, relativistic = _lagrangians(xdot03, xdot47, mass, light_speed)
+    except ValueError as exc:  # a mass, speed or coupling -mass * c out of range
+        raise UsageError(exc) from None
+    record = {"x8dot": nine[8], "finsler_density": cubic, "minkowski_density": relativistic}
     _emit(args, list(record), list(record.values()), record)
     return EXIT_OK
 
@@ -300,6 +296,8 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # argparse's exit after --help: entry exits
+        return exc.code
     except UsageError as exc:
         print(f"Usage: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -23,6 +23,7 @@ from .exceptions import (
     InconsistentMomenta,
     IsotropicVelocity,
     NonMonotone,
+    NonRealEntry,
     NotUnitSpeed,
     SingularMomentumMatrix,
 )
@@ -138,8 +139,15 @@ def _nonisotropic_form(xdot):
 
 
 def lagrangian(xdot, kappa=DEFAULT_KAPPA):
-    """``kappa`` times the real cube root of the velocity's cubic form."""
-    kappa = _check_kappa(kappa)
+    """``kappa`` times the real cube root of the velocity's cubic form.
+
+    ``(..., 9)`` velocities give shape ``(...)``.  ``kappa`` is a float or
+    an array that broadcasts against those leading axes, every element in
+    ``2^-300 <= |kappa| <= 2^300`` (otherwise ValueError); a row with its
+    own ``kappa`` gives the bits of its own call.  A velocity on or near
+    the isotropic cone raises :class:`IsotropicVelocity`.
+    """
+    kappa = _check_kappas(kappa)
     return kappa * np.cbrt(_nonisotropic_form(xdot))
 
 
@@ -304,7 +312,9 @@ def general_solution(x0, v0, s):
 
     ``v0`` must satisfy the unit-determinant condition; ``s`` may be a
     scalar or an array of arc-length values (of either sign) and
-    broadcasts as in :meth:`Trajectory.at`.
+    broadcasts as in :meth:`Trajectory.at`, which also refuses a point
+    that is not finite (a NaN ``x0`` or ``s`` included) with
+    :class:`NonRealEntry`.
     """
     return Trajectory(x0, v0).at(s)
 
@@ -331,14 +341,20 @@ class Trajectory:
         """Point(s) ``x0 + s * v0`` at a scalar or an array of arc lengths ``s``.
 
         ``s`` broadcasts against the leading axes of ``x0``; shapes that do
-        not broadcast raise ValueError naming both.
+        not broadcast raise ValueError naming both.  A point with an
+        infinite or NaN entry, from an overflow or from a NaN ``x0`` or
+        ``s``, raises :class:`NonRealEntry`.
         """
         s = np.asarray(s, dtype=float)
         try:
-            return self.x0 + s[..., None] * self.v0
+            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite point fails below
+                points = self.x0 + s[..., None] * self.v0
         except ValueError:
             raise ValueError(f"arc lengths of shape {s.shape} and initial points of shape "
                              f"{self.x0.shape} do not broadcast") from None
+        if not np.isfinite(points).all():
+            raise NonRealEntry("the world line is beyond the float range")
+        return points
 
     def sample(self, n):
         """``n`` evenly spaced arc lengths ``s`` from 0 to ``s_range[1]``, and ``self.at(s)``.

@@ -11,8 +11,8 @@ minus mass times speed of light.
 
 import numpy as np
 
-from .dynamics import _check_kappas, _grid
-from .exceptions import BlockLeakage, NonTimelike
+from .dynamics import _check_kappas, _grid, lagrangian
+from .exceptions import BlockLeakage, NonRealEntry, NonTimelike
 from .geometry import _item, _require_unimodular, _stack, cubic_form, group_action
 
 #: Minkowski metric with signature (+, -, -, -).
@@ -129,6 +129,34 @@ def assemble_velocity(xdot03, xdot47):
     return nine
 
 
+def _lagrangians(xdot03, xdot47, mass, light_speed, kappa=None):
+    """The 4D-limit 9-velocity and its two Lagrangians, ``(nine, cubic, relativistic)``.
+
+    ``cubic`` is :func:`~finsler9.dynamics.lagrangian` at ``kappa`` (default
+    ``-mass * light_speed``) and ``relativistic`` is ``-mass * light_speed
+    * sqrt(g(v, v))``; ``mass``, ``light_speed`` and ``kappa`` broadcast
+    against the velocities' leading axes.  Refuses, in this order: a mass
+    or speed that is not positive, or a ``kappa`` outside its range
+    (ValueError); what :func:`assemble_velocity` refuses; a velocity or
+    relativistic Lagrangian that is not finite (:class:`NonRealEntry`);
+    what ``lagrangian`` refuses (:class:`IsotropicVelocity`).
+    """
+    mass = np.asarray(mass, dtype=float)
+    light_speed = np.asarray(light_speed, dtype=float)
+    if not (np.all(mass > 0) and np.all(light_speed > 0)):
+        raise ValueError("mass and light speed must be positive")
+    # With no warning: an overflow of m c or of the assembly fails a range test
+    # below, and one of the admission's |x|^3 counts its row as isotropic.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mc = mass * light_speed
+        kappa = _check_kappas(-mc if kappa is None else kappa)
+        nine = assemble_velocity(xdot03, xdot47)
+        relativistic = -mc * np.sqrt(minkowski_norm_sq(nine[..., _VEC]))
+        if not (np.isfinite(nine).all() and np.isfinite(relativistic).all()):
+            raise NonRealEntry("the 4D-limit record is beyond the float range")
+        return nine, lagrangian(nine, kappa), relativistic
+
+
 def reduced_action_check(tau, xdot4, spinor, mass, light_speed, kappa=None):
     """Evaluate the 9-space action against the relativistic one on one curve.
 
@@ -139,7 +167,12 @@ def reduced_action_check(tau, xdot4, spinor, mass, light_speed, kappa=None):
     the second is ``-mass * light_speed`` times the proper-time integral.
     They agree exactly when ``kappa`` keeps its default value.  A ``kappa``,
     given or default, with an element outside ``2^-300 <= |kappa| <= 2^300``
-    raises ValueError, as in the maps of :mod:`finsler9.dynamics`.
+    raises ValueError, as in the maps of :mod:`finsler9.dynamics`.  A
+    sample whose 9-velocity or relativistic Lagrangian is not finite
+    raises :class:`NonRealEntry`, and one whose 9-velocity is near the
+    isotropic cone raises :class:`IsotropicVelocity`, as in
+    :func:`~finsler9.dynamics.lagrangian` (at rest, a spinor part longer
+    than about 31.6 times the time component).
 
     Curves stacked as ``(..., n, 4)`` with ``mass``, ``light_speed`` and
     ``kappa`` broadcasting against ``(...)`` give two ``(...)`` arrays;
@@ -147,14 +180,9 @@ def reduced_action_check(tau, xdot4, spinor, mass, light_speed, kappa=None):
     2 samples (otherwise :class:`DegeneratePath`) with one point a sample
     of the curve (otherwise ValueError naming both shapes).
     """
-    mass = np.asarray(mass, dtype=float)
-    light_speed = np.asarray(light_speed, dtype=float)
-    if not (np.all(mass > 0) and np.all(light_speed > 0)):
-        raise ValueError("mass and light speed must be positive")
-    kappa = _check_kappas(-mass * light_speed if kappa is None else kappa)
-    nine = assemble_velocity(xdot4, spinor)
+    per_sample = [None if a is None else np.asarray(a, dtype=float)[..., None]
+                  for a in (mass, light_speed, kappa)]
+    nine, cubic, relativistic = _lagrangians(xdot4, spinor, *per_sample)
     tau = _grid(tau, 2, nine[..., _VEC])
-    q = minkowski_norm_sq(nine[..., _VEC])
-    s_cubic = np.trapezoid(kappa[..., None] * np.cbrt(cubic_form(nine)), tau, axis=-1)
-    s_mink = np.trapezoid(-(mass * light_speed)[..., None] * np.sqrt(q), tau, axis=-1)
-    return _item(s_cubic), _item(s_mink)
+    return (_item(np.trapezoid(cubic, tau, axis=-1)),
+            _item(np.trapezoid(relativistic, tau, axis=-1)))

@@ -17,10 +17,12 @@ from hypothesis import strategies as st
 
 from finsler9 import (
     __version__,
+    assemble_velocity,
     canonical_momenta,
     checks,
     cubic_form,
     invert_momenta,
+    minkowski_norm_sq,
     unit_speed_velocity,
 )
 from finsler9._render import CHUNK_ROWS, _render_rows
@@ -557,6 +559,21 @@ class TestReduce4d:
         assert code == 2
         assert err.startswith("NonTimelike:")
 
+    def test_rows_have_the_bits_of_the_two_density_formulas(self, capsys):
+        rng = np.random.default_rng(337)
+        x4, spinor = checks._random_timelike(rng, 200)
+        for a, b, mass, light_speed in zip(x4, spinor, *10.0 ** rng.uniform(-4, 4, (2, 200))):
+            # the oracle: both densities written out at kappa = -m c
+            kappa = -mass * light_speed
+            nine = assemble_velocity(a, b)
+            expected = [nine[8], kappa * np.cbrt(cubic_form(nine)),
+                        kappa * np.sqrt(minkowski_norm_sq(a))]
+            argv = ["reduce4d", "--xdot03", *map(fmt17, a), "--xdot47", *map(fmt17, b),
+                    "--mass", fmt17(mass), "--c", fmt17(light_speed)]
+            code, out, err = run(argv, capsys)
+            assert (code, err) == (0, "")
+            assert out.splitlines()[1] == ",".join(map(_fmt, expected))
+
     def test_nonpositive_mass_is_usage_error(self, capsys):
         code, _, err = run(
             ["reduce4d", "--xdot03", "1", "0", "0", "0",
@@ -675,7 +692,10 @@ class TestRefusals:
         ([*REDUCE4D, "--xdot03", "1e103", "0", "0", "0", "--format", "json"], 2,
          "NonRealEntry"),
         ([*REDUCE4D, "--xdot03", "1", "0", "0", "0", "--mass", "1e308", "--c", "1e308",
-          "--format", "json"], 2, "NonRealEntry"),
+          "--format", "json"], 64, "Usage"),
+        ([*REDUCE4D, "--xdot03", "1", "0", "0", "0", "--mass", "1e-200"], 64, "Usage"),
+        (["reduce4d", "--xdot03", "1", "0", "0", "0", "--xdot47", "1e8", "0", "0", "0"], 2,
+         "IsotropicVelocity"),
         (["check", "--trials", "5", "--tol", "duality=nan"], 64, "Usage"),
         (["check", "--trials", "5", "--tol", "duality=inf"], 64, "Usage"),
         (["check", "--trials", "5", "--tol", "duality=inf", "--tol", "constant_count=-inf"],
@@ -804,6 +824,32 @@ class TestProcess:
         profile = exit_profile(["invert", "--momenta", *DIAG_MOMENTA])
         assert profile.code == 0
         assert profile.frozen > 0
+
+    def test_help_exits_through_the_freeze(self):
+        profile = exit_profile(["--help"])
+        assert profile.code == 0
+        assert profile.frozen > 0
+
+    @pytest.mark.parametrize("argv, usage", [
+        (["--help"], "usage: finsler9 [-h]"),
+        (["propagate", "--help"], "usage: finsler9 propagate [-h]"),
+    ], ids=["top", "propagate"])
+    def test_help_prints_its_text_and_exits_0(self, argv, usage, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the text to the terminal width
+        proc = cli_process(argv)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith(usage)
+        assert run(argv, capsys) == (0, proc.stdout, "")
+
+    @pytest.mark.parametrize("buffering", sorted(STDOUT_BUFFERING))
+    def test_help_to_a_full_device_gets_one_line(self, buffering):
+        if not os.path.exists("/dev/full"):
+            pytest.skip("needs /dev/full")
+        with open("/dev/full", "w") as full:
+            proc = cli_process(["propagate", "--help"], env=STDOUT_BUFFERING[buffering],
+                               stdout=full)
+        assert proc.returncode == 1
+        assert proc.stderr == "MalformedInput: stdout: [Errno 28] No space left on device\n"
 
     def test_main_in_process_leaves_the_collector_unfrozen(self, capsys):
         before = gc.get_freeze_count()

@@ -19,6 +19,7 @@ from finsler9 import (
     InconsistentMomenta,
     IsotropicVelocity,
     NonMonotone,
+    NonRealEntry,
     NotUnitSpeed,
     SingularMomentumMatrix,
     Trajectory,
@@ -542,6 +543,21 @@ class TestGeneralSolution:
             Trajectory(np.zeros((2, 9)), DIAG).sample(5)
         with pytest.raises(ValueError, match=r"shape \(4,\) and initial points of shape \(3, 9\)"):
             general_solution(np.zeros((3, 9)), DIAG, np.zeros(4))
+
+    @pytest.mark.parametrize("x0, s", [
+        (np.zeros(9), np.nan),
+        (np.zeros(9), np.inf),  # inf times a zero component of the velocity is NaN
+        (np.full(9, np.nan), 0.0),
+        (np.full(9, 1e308), 1e308),
+    ], ids=["nan_s", "inf_s", "nan_x0", "overflow"])
+    def test_a_point_beyond_the_float_range_raises_non_real_entry(self, x0, s):
+        message = "^the world line is beyond the float range$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonRealEntry, match=message):
+                general_solution(x0, DIAG, s)
+            with pytest.raises(NonRealEntry, match=message):
+                Trajectory(np.stack([np.zeros(9), x0]), DIAG).at(s)
 
     def test_equals_the_trajectory_evaluation_bit_for_bit_on_stacked_points(self):
         rng = np.random.default_rng(619)

@@ -1,6 +1,7 @@
 """Tests for the 4-dimensional relativistic limit."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from numpy.testing import assert_allclose
 
 from finsler9 import (
     BlockLeakage,
+    IsotropicVelocity,
     MINKOWSKI_METRIC,
+    NonRealEntry,
     NonTimelike,
     NotUnimodular,
     assemble_velocity,
@@ -307,6 +310,40 @@ class TestReducedAction:
         x4 = np.tile([1.0, 0, 0, 0], (5, 1))
         with pytest.raises(ValueError, match="^kappa must be nonzero"):
             reduced_action_check(tau, x4, np.zeros((5, 4)), 2.0**-301, 1.0)
+
+    @pytest.mark.parametrize("size", [31.7, 1e8])
+    def test_rejects_a_rest_curve_near_the_isotropic_cone(self, size):
+        # at rest |f| / |x|^3 is about size^-6: the admission's 1e-9 from 31.6 on
+        tau = np.linspace(0.0, 1.0, 5)
+        x4 = np.tile([1.0, 0, 0, 0], (5, 1))
+        spinor = np.zeros((5, 4))
+        spinor[2, 1] = size
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IsotropicVelocity, match=re.escape("(1 velocity sample(s))")):
+                reduced_action_check(tau, x4, spinor, 1.0, 1.0)
+        spinor[2, 1] = 31.5
+        assert reduced_action_check(tau, x4, spinor, 1.0, 1.0)[0] < 0.0
+
+    @pytest.mark.parametrize("x4, mass, kappa", [
+        ([1e103, 0.0, 0.0, 0.0], 1.0, None),  # q ** 1.5 overflows the ninth velocity
+        ([1.0, 0.0, 0.0, 0.0], 1e308, -1.0),  # mass * light_speed overflows
+    ], ids=["velocity", "rest_energy"])
+    def test_a_sample_beyond_the_float_range_raises_non_real_entry(self, x4, mass, kappa):
+        tau = np.linspace(0.0, 1.0, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonRealEntry, match="^the 4D-limit record is beyond the float"):
+                reduced_action_check(tau, np.tile(x4, (3, 1)), np.zeros((3, 4)), mass, mass,
+                                     kappa=kappa)
+
+    def test_an_overflowing_default_kappa_is_refused_without_a_warning(self):
+        tau = np.linspace(0.0, 1.0, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^kappa must be nonzero.*got -inf$"):
+                reduced_action_check(tau, np.tile([1.0, 0, 0, 0], (3, 1)), np.zeros((3, 4)),
+                                     1e308, 1e308)
 
     def test_rejects_spacelike_sample(self):
         tau = np.linspace(0.0, 1.0, 201)

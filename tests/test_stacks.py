@@ -62,6 +62,12 @@ def velocities(rng, n):
     return (x * scales(rng, n, -30, 30),)
 
 
+def velocities_and_kappas(rng, n):
+    """:func:`velocities` and one coupling a row, of either sign, across the kappa range."""
+    kappa = rng.choice([-1.0, 1.0], size=n) * 2.0 ** rng.uniform(-300, 300, size=n)
+    return velocities(rng, n) + (kappa,)
+
+
 def admitted_momenta(rng, n):
     """Unit-speed momenta moved up to ``2e-9`` off the constraint: all admitted."""
     p = canonical_momenta(unit_speed_velocity(rng, size=n))
@@ -112,6 +118,7 @@ def split_blocks(d2):
 CASES = {
     "canonical_momenta": (canonical_momenta, velocities, (GRADIENT,)),
     "lagrangian": (lagrangian, velocities, (GRADIENT,)),
+    "lagrangian_per_row_kappa": (lagrangian, velocities_and_kappas, (GRADIENT,)),
     "canonical_energy": (canonical_energy, velocities, (GRADIENT,)),
     "invert_momenta": (invert_momenta, admitted_momenta, (GRADIENT, DETERMINANT)),
     "momentum_constraint_residual": (momentum_constraint_residual, wide_rows, (DETERMINANT,)),
