@@ -194,10 +194,3 @@ class Renderer:
             # one % for the batch; "%.17g" is at most 24 characters, and the text has no spaces
             text = np.frombuffer(b"%-24.17g" * len(other) % tuple(v[other].tolist()), np.uint8)
             self._slots[np.divmod(other, 10)] = (text * (text != ord(" "))).view(_U8).reshape(-1, 3)
-
-
-def _render_rows(rows, fmt):
-    """The text of ``(n, 10)`` trajectory rows, each opened by its separator ("" or ", ")."""
-    renderer = Renderer(fmt, max(min(len(rows), CHUNK_ROWS), 1))
-    return "".join([renderer.text(rows[i:i + CHUNK_ROWS, 0], rows[i:i + CHUNK_ROWS, 1:])
-                    for i in range(0, len(rows), CHUNK_ROWS)])

@@ -78,8 +78,8 @@ _PLAIN_DET_TOL = 1e-13
 _KAPPA_RANGE = (2.0**-300, 2.0**300)
 
 
-def _check_kappa(kappa):
-    """``kappa`` as a float, or ValueError unless ``2^-300 <= |kappa| <= 2^300``.
+def _in_range(kappa):
+    """Whether ``2^-300 <= |kappa| <= 2^300``, for a float or element by element; NaN is not.
 
     In that range ``|2 kappa / 3|^3`` lies within ``2^-902 .. 2^899``.  On
     momenta of the order of ``|kappa|``, as unit-speed momenta are, with
@@ -90,8 +90,21 @@ def _check_kappa(kappa):
     overflows, or underflows and admission accepts anything.  Zero, NaN
     and the infinities are outside the range.
     """
+    size = abs(kappa)
+    return (size >= _KAPPA_RANGE[0]) & (size <= _KAPPA_RANGE[1])
+
+
+def _check_kappa(kappa):
+    """One ``kappa`` as a Python float, or ValueError naming it unless it is one number in range.
+
+    A Python float keeps ``c ** 3`` on C ``pow``; numpy's array power may
+    round it apart.
+    """
+    if not isinstance(kappa, float) and (kappa is None or np.ndim(kappa) != 0):
+        what = "None" if kappa is None else f"shape {np.shape(kappa)}"
+        raise ValueError(f"kappa must be one number, got {what}")
     kappa = float(kappa)
-    if not _KAPPA_RANGE[0] <= abs(kappa) <= _KAPPA_RANGE[1]:  # NaN fails too
+    if not _in_range(kappa):
         raise ValueError(f"kappa must be nonzero, with 2^-300 <= |kappa| <= 2^300, got {kappa!r}")
     return kappa
 
@@ -99,8 +112,7 @@ def _check_kappa(kappa):
 def _check_kappas(kappa):
     """``kappa`` as a float array, or :func:`_check_kappa`'s ValueError for its first element outside."""
     kappa = np.asarray(kappa, dtype=float)
-    size = np.abs(kappa)
-    outside = ~((size >= _KAPPA_RANGE[0]) & (size <= _KAPPA_RANGE[1]))  # NaN is outside too
+    outside = ~_in_range(kappa)
     if outside.any():
         _check_kappa(kappa[outside].flat[0])
     return kappa
@@ -455,11 +467,13 @@ def action_stationarity_check(traj, eta, amplitudes, kappa=DEFAULT_KAPPA, sample
     float for one bump).  Raises :class:`IsotropicVelocity` when a
     perturbed curve touches the isotropic cone (shrink the amplitudes).
     """
-    if samples < 200:
-        raise ValueError("the action grid needs at least 200 samples")
+    if not (isinstance(samples, numbers.Integral) and samples >= 200):
+        raise ValueError(f"samples must be an integer of at least 200, got {samples!r}")
     amplitudes = np.asarray(amplitudes, dtype=float)
-    if amplitudes.size < 2 or np.any(amplitudes <= 0):
+    if amplitudes.size < 2 or not np.all(amplitudes > 0):  # NaN is not positive
         raise ValueError("need at least two positive amplitudes to fit a slope")
+    if not np.isfinite(amplitudes).all():
+        raise ValueError(f"amplitudes must be finite, got {amplitudes.tolist()!r}")
     tau = np.linspace(0.0, traj.s_range[1], samples)
     base = traj.at(tau)
     bump = np.stack([eta(t) for t in tau]) if callable(eta) else np.asarray(eta, dtype=float)
@@ -478,15 +492,30 @@ def action_stationarity_check(traj, eta, amplitudes, kappa=DEFAULT_KAPPA, sample
     return _item(np.reshape(slopes, gaps.shape[:-1]))
 
 
+#: ``|cubic_form(x)| <= (2/3)^1.5 |x|^3`` for every ``x``: the eigenvalues of
+#: the velocity matrix ``X`` have squares summing to ``|X|_F^2 <= 2 |x|^2``
+#: in this basis, and by AM-GM their product is at most ``(|X|_F^2 / 3)^1.5``.
+#: A margin at or above it admits no draw.
+_MARGIN_LIMIT = (2.0 / 3.0) ** 1.5
+
+
 def random_nonisotropic_velocity(rng, margin=1e-3, scale=1.0, size=None):
     """Uniform velocity draws rejected until safely off the isotropic cone.
 
     ``margin`` is the admitted lower bound of |cubic form| relative to the
     euclidean norm cubed; 1e-3 keeps downstream quotients well conditioned
-    while rejecting almost nothing.  ``size`` (an int or a shape) stacks
+    while rejecting almost nothing.  Draws are uniform in ``[-scale,
+    scale]``.  ``size`` (a non-negative int or a shape of them) stacks
     that many velocities, shape ``size + (9,)``; rejected draws are redrawn
-    as a block.  ``size=None`` returns one ``(9,)`` velocity.
+    as a block.  ``size=None`` returns one ``(9,)`` velocity.  A margin
+    outside ``0 <= margin < (2/3)^1.5``, a scale that is not finite and
+    positive, or another ``size`` raises ValueError naming it.
     """
+    if not 0.0 <= margin < _MARGIN_LIMIT:  # NaN fails too
+        raise ValueError(f"margin must be finite with 0 <= margin < (2/3)^1.5, got {margin!r}")
+    if not 0.0 < scale < np.inf:
+        raise ValueError(f"scale must be finite and positive, got {scale!r}")
+
     def accept(x):
         return np.abs(cubic_form(x)) >= margin * _cubed_norm(x)
 
@@ -496,7 +525,8 @@ def random_nonisotropic_velocity(rng, margin=1e-3, scale=1.0, size=None):
 def unit_speed_velocity(rng, margin=1e-3, size=None):
     """Random velocities rescaled so their cubic form is exactly one.
 
-    ``size`` is passed to :func:`random_nonisotropic_velocity`.
+    ``margin`` and ``size`` are passed to :func:`random_nonisotropic_velocity`,
+    which refuses them as it does its own.
     """
     xdot = random_nonisotropic_velocity(rng, margin, size=size)
     return xdot / np.cbrt(cubic_form(xdot))[..., None]

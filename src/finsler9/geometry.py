@@ -497,9 +497,13 @@ def _rejection_sample(draw, accept, size):
     ``accept`` maps them to a boolean mask.  The first block has ``size``
     candidates and every later one only the shortfall, so ``size=None``
     (one candidate per block, squeezed) consumes the generator exactly as a
-    draw-one-test-one loop does.  ``size`` may be an int or a shape.
+    draw-one-test-one loop does.  ``size`` may be a non-negative int or a
+    shape of them; anything else raises ValueError naming it.
     """
-    shape = () if size is None else tuple(size) if np.iterable(size) else (int(size),)
+    shape = () if size is None else tuple(size) if np.iterable(size) else (size,)
+    if not all(isinstance(k, numbers.Integral) and k >= 0 for k in shape):
+        raise ValueError(f"size must be None, a non-negative integer or a tuple of them, "
+                         f"got {size!r}")
     count = int(np.prod(shape))
     kept = draw(count)
     kept = kept[accept(kept)]
@@ -517,7 +521,8 @@ def random_unimodular(rng, n=3, size=None):
     redrawn) and each survivor is divided by the principal cube (square)
     root of its determinant, which lands the determinant on 1 regardless of
     branch.  ``size=None`` returns one ``(n, n)`` matrix.  An ``n`` that is
-    not a positive integer raises ValueError naming it.
+    not a positive integer, or a ``size`` that is not a non-negative integer
+    or a shape of them, raises ValueError naming it.
     """
     if not (isinstance(n, numbers.Integral) and n > 0):
         raise ValueError(f"n must be a positive integer, got {n!r}")

@@ -2,7 +2,7 @@
 
 import inspect
 
-import finsler9
+from contract import exported_callables
 
 #: Parameter names of every callable that ``finsler9`` exports, exceptions
 #: aside (they take a message).
@@ -44,10 +44,6 @@ SIGNATURES = {
 
 
 def test_every_exported_callable_has_its_pinned_parameters():
-    exported = {
-        name: tuple(inspect.signature(obj).parameters)
-        for name, obj in vars(finsler9).items()
-        if not name.startswith("_") and callable(obj)
-        and not (isinstance(obj, type) and issubclass(obj, BaseException))
-    }
+    exported = {name: tuple(inspect.signature(obj).parameters)
+                for name, obj in exported_callables().items()}
     assert exported == SIGNATURES

@@ -9,6 +9,8 @@ import pytest
 from finsler9 import checks
 from finsler9.checks import CHECK_NAMES, CHECKS, all_passed, run_checks
 
+from contract import same_bits
+
 
 def test_registry_names_are_unique():
     assert len(CHECK_NAMES) == len(set(CHECK_NAMES)) == 27
@@ -105,11 +107,6 @@ def _residuals(trials):
             for idx, spec in enumerate(CHECKS)]
 
 
-def _assert_same_bits(a, b, name=""):
-    assert a.shape == b.shape, name
-    assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b)), name
-
-
 # 21 trials are just past the default block edge of the curve checks (20 trials)
 @pytest.mark.parametrize("trials", [1, 7, 8, 50, 21])
 @pytest.mark.parametrize("block", [1, 7])
@@ -117,7 +114,7 @@ def test_block_size_changes_no_bits(block, trials, monkeypatch):
     expected = _residuals(trials)
     monkeypatch.setattr(checks, "_BLOCK_ROWS", block)
     for spec, got, want in zip(CHECKS, _residuals(trials), expected):
-        _assert_same_bits(got, want, spec.name)
+        assert same_bits(got, want), spec.name
 
 
 @pytest.mark.parametrize("spec", [s for s in CHECKS if hasattr(s.fn, "rows")],
@@ -127,7 +124,7 @@ def test_a_run_just_past_the_default_block_edge_changes_no_bits(spec, monkeypatc
     trials = checks._BLOCK_ROWS // spec.fn.rows + 1
     expected = spec.fn(np.random.default_rng([0, idx]), trials)
     monkeypatch.setattr(checks, "_BLOCK_ROWS", 7)
-    _assert_same_bits(spec.fn(np.random.default_rng([0, idx]), trials), expected)
+    assert same_bits(spec.fn(np.random.default_rng([0, idx]), trials), expected)
 
 
 def _old_random_timelike_curve(rng, trials, n=201):
@@ -154,5 +151,5 @@ def test_curve_parameters_expand_to_the_old_curves(trials):
     assert all(p.shape[0] == trials and p[0].size <= 4 for p in (*curve, mass, speed))
     got = (*checks._timelike_curve(*curve), mass, speed)
     for a, b in zip(got, expected):
-        _assert_same_bits(a, b)
+        assert same_bits(a, b)
     assert new_rng.bit_generator.state == old_rng.bit_generator.state

@@ -25,7 +25,7 @@ from finsler9 import (
     minkowski_norm_sq,
     unit_speed_velocity,
 )
-from finsler9._render import CHUNK_ROWS, _render_rows
+from finsler9._render import CHUNK_ROWS, Renderer
 from finsler9.cli import _fmt, _to_json, main
 
 from faults import exit_profile, minor_faults
@@ -299,12 +299,19 @@ CSV_ROW = ",".join(["%.17g"] * 10) + "\n"
 JSON_ROW = ', {"s": %.17g, "x": [' + ", ".join(["%.17g"] * 9) + "]}"
 
 
+def render_rows(rows, fmt):
+    """The text of ``(n, 10)`` trajectory rows, ``CHUNK_ROWS`` at a time in one workspace."""
+    renderer = Renderer(fmt, min(len(rows), CHUNK_ROWS))
+    return "".join([renderer.text(rows[i:i + CHUNK_ROWS, 0], rows[i:i + CHUNK_ROWS, 1:])
+                    for i in range(0, len(rows), CHUNK_ROWS)])
+
+
 def assert_rows_render_as_templates(values, formats=("csv", "json")):
     rows = np.asarray(values, dtype=float).reshape(-1, 10)
     for fmt, template in (("csv", CSV_ROW), ("json", JSON_ROW)):
         if fmt in formats:
             expected = "".join([template % tuple(r) for r in rows.tolist()])
-            assert_same_text(_render_rows(rows, fmt), expected)
+            assert_same_text(render_rows(rows, fmt), expected)
 
 
 def padded(values):
@@ -339,7 +346,7 @@ class TestRowRenderer:
         assert_rows_render_as_templates(padded(values))
         row = np.array([[1e-4, 9.9999999999999995e-05, 1e17, 5e-324, -0.0, -np.inf, np.nan,
                          1.7976931348623157e308, 0.5, 123.0]])
-        assert _render_rows(row, "csv") == (
+        assert render_rows(row, "csv") == (
             "0.0001,9.9999999999999991e-05,1e+17,4.9406564584124654e-324,-0,-inf,nan,"
             "1.7976931348623157e+308,0.5,123\n")
 

@@ -48,6 +48,8 @@ from finsler9 import (
 from finsler9.dynamics import _DET_TERMS, _GAMMA, _KAPPA_RANGE, _PLAIN_DET_TOL, _cubed_norm
 from finsler9.geometry import G, _cubic_gradient, matrix_to_vec, metric_coefficients
 
+from contract import same_bits
+
 DIAG = np.array([1.0, 0, 0, 0, 0, 0, 0, 0, 1.0])
 
 
@@ -125,15 +127,6 @@ class TestSharpMap:
         got = invert_momenta(p, kappa)
         gap = np.abs(got - oracle).max(axis=-1) / np.abs(oracle).max(axis=-1)
         assert gap.max() <= 1e-13
-
-    def test_stack_is_bit_identical_to_per_row_calls(self):
-        v = unit_speed_velocity(np.random.default_rng(711), size=(4, 16))
-        p = canonical_momenta(v)
-        assert np.array_equal(p.reshape(-1, 9),
-                              [canonical_momenta(row) for row in v.reshape(-1, 9)])
-        back = invert_momenta(p)
-        assert np.array_equal(back.reshape(-1, 9),
-                              [invert_momenta(row) for row in p.reshape(-1, 9)])
 
 
 class TestVectorShape:
@@ -434,19 +427,6 @@ class TestStackedMomenta:
         v = np.stack([unit_speed_velocity(rng) for _ in range(np.prod(shape))])
         return canonical_momenta(v).reshape(*shape, 9)
 
-    def test_stack_matches_per_row_calls(self):
-        p = self.stack(193)
-        rows = p.reshape(-1, 9)
-        velocities = invert_momenta(p)
-        residuals = momentum_constraint_residual(p)
-        assert velocities.shape == p.shape and residuals.shape == p.shape[:-1]
-        assert_allclose(velocities.reshape(-1, 9),
-                        [invert_momenta(r) for r in rows],
-                        rtol=1e-12, atol=0)
-        assert_allclose(residuals.ravel(),
-                        [momentum_constraint_residual(r) for r in rows],
-                        rtol=1e-12, atol=0)
-
     def test_one_bumped_row_rejects_the_stack(self):
         p = self.stack(197, shape=(32,))
         p[11, 3] += 1e-3
@@ -673,18 +653,6 @@ class TestActionStationarity:
         for eps in (1e-2, 1e-3):
             assert discrete_action(tau, base + eps * np.zeros((201, 9))) == s0
 
-    def test_stacked_curves_match_per_curve_calls(self):
-        tau = np.linspace(0.0, 1.0, 201)
-        bump = np.stack([interior_bump(4)(t) for t in tau])
-        curves = (Trajectory(np.zeros(9), DIAG).at(tau)
-                  + np.geomspace(1e-2, 1e-4, 6)[:, None, None, None] * bump
-                  * np.array([1.0, -1.0])[:, None, None])
-        actions = discrete_action(tau, curves)
-        assert actions.shape == (6, 2)
-        assert np.array_equal(actions.ravel(),
-                              [discrete_action(tau, c) for c in curves.reshape(-1, 201, 9)])
-        assert type(discrete_action(tau, curves[0, 0])) is float
-
     def test_slope_equals_the_per_amplitude_fit(self):
         traj = Trajectory(np.zeros(9), DIAG)
         amplitudes = np.geomspace(1e-2, 1e-4, 5)
@@ -728,17 +696,23 @@ class TestActionStationarity:
         with pytest.raises(ValueError):
             action_stationarity_check(traj, lambda t: np.ones(9), [1e-2, 1e-3])
 
-    def test_rejects_coarse_grid(self):
+    @pytest.mark.parametrize("samples", [50, 199, 200.5, 201.0])
+    def test_samples_must_be_an_integer_of_at_least_200(self, samples):
         traj = Trajectory(np.zeros(9), DIAG)
-        with pytest.raises(ValueError):
-            action_stationarity_check(traj, interior_bump(1), [1e-2, 1e-3],
-                                      samples=50)
+        with pytest.raises(ValueError, match=re.escape(
+                f"samples must be an integer of at least 200, got {samples!r}")):
+            action_stationarity_check(traj, interior_bump(1), [1e-2, 1e-3], samples=samples)
 
-    @pytest.mark.parametrize("amplitudes", [[1e-2], [1e-2, 0.0], [1e-2, -1e-3]])
+    @pytest.mark.parametrize("amplitudes", [[1e-2], [1e-2, 0.0], [1e-2, -1e-3], [1e-2, np.nan]])
     def test_needs_two_positive_amplitudes(self, amplitudes):
         with pytest.raises(ValueError, match="at least two positive amplitudes"):
             action_stationarity_check(Trajectory(np.zeros(9), DIAG), interior_bump(1),
                                       amplitudes)
+
+    def test_refuses_an_infinite_amplitude(self):
+        with pytest.raises(ValueError, match=re.escape("amplitudes must be finite, got [0.01, inf]")):
+            action_stationarity_check(Trajectory(np.zeros(9), DIAG), interior_bump(1),
+                                      [1e-2, np.inf])
 
     def test_an_all_zero_bump_changes_no_action_and_is_refused(self):
         with pytest.raises(ValueError, match="produced no action change"):
@@ -751,22 +725,12 @@ class TestActionStationarity:
         return np.stack([k * np.stack([interior_bump(slot)(t) for t in tau])
                          for slot, k in zip(slots, scales)])
 
-    def test_a_stack_of_bumps_gives_the_per_bump_slopes_bit_for_bit(self):
-        traj = Trajectory(np.zeros(9), DIAG)
-        amplitudes = np.geomspace(1e-2, 1e-4, 5)
-        bumps = self.bumps([0, 1, 4, 6, 8], [1.0] * 5)
-        slopes = action_stationarity_check(traj, bumps, amplitudes)
-        assert same_bits(slopes, [action_stationarity_check(traj, b, amplitudes) for b in bumps])
-
     def test_a_grid_of_bumps_gives_a_grid_of_slopes(self):
         traj = Trajectory(np.zeros(9), DIAG)
-        amplitudes = np.geomspace(1e-2, 1e-4, 9)  # a 2-d polyfit moves bits from 8 up
         bumps = self.bumps([0, 3, 5, 7, 8, 2], [1.0, 0.5, 2.0, 1.0, 0.3, 1.5])
-        bumps = bumps.reshape(2, 3, 201, 9)
-        slopes = action_stationarity_check(traj, bumps, amplitudes)
+        slopes = action_stationarity_check(traj, bumps.reshape(2, 3, 201, 9),
+                                           np.geomspace(1e-2, 1e-4, 9))
         assert slopes.shape == (2, 3)
-        assert same_bits(slopes.ravel(), [action_stationarity_check(traj, b, amplitudes)
-                                          for b in bumps.reshape(-1, 201, 9)])
         assert np.all(np.abs(slopes - 2.0) < 0.1)
 
     def test_one_bump_or_a_callable_gives_a_float(self):
@@ -832,29 +796,36 @@ class TestVelocitySamplers:
         assert random_nonisotropic_velocity(rng, size=0).shape == (0, 9)
         assert rng.random() == np.random.default_rng(421).random()
 
+    # a margin of (2/3)^1.5 or more admits no draw, and a zero scale draws the isotropic zero
+    @pytest.mark.parametrize("sampler", [random_nonisotropic_velocity, unit_speed_velocity])
+    @pytest.mark.parametrize("margin", [np.nan, np.inf, -1e-3, (2 / 3) ** 1.5, 0.6])
+    def test_a_margin_no_draw_can_meet_is_refused(self, sampler, margin):
+        rng = np.random.default_rng(423)
+        with pytest.raises(ValueError, match=re.escape(
+                f"margin must be finite with 0 <= margin < (2/3)^1.5, got {margin!r}")):
+            sampler(rng, margin)
+        assert rng.random() == np.random.default_rng(423).random()  # nothing drawn
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, np.nan, np.inf])
+    def test_a_scale_that_is_not_finite_and_positive_is_refused(self, scale):
+        with pytest.raises(ValueError, match=re.escape(
+                f"scale must be finite and positive, got {scale!r}")):
+            random_nonisotropic_velocity(np.random.default_rng(425), scale=scale)
+
+    @pytest.mark.parametrize("sampler", [random_nonisotropic_velocity, unit_speed_velocity])
+    @pytest.mark.parametrize("size", [2.5, -1, (2, -1), (2, 1.5)])
+    def test_a_size_that_is_not_a_shape_is_refused(self, sampler, size):
+        with pytest.raises(ValueError, match=re.escape(
+                "size must be None, a non-negative integer or a tuple of them, "
+                f"got {size!r}")):
+            sampler(np.random.default_rng(427), size=size)
+
+    def test_the_largest_margin_draws_are_admitted(self):
+        x = random_nonisotropic_velocity(np.random.default_rng(429), margin=0.5, size=3)
+        assert np.all(np.abs(cubic_form(x)) >= 0.5 * np.linalg.norm(x, axis=-1) ** 3)
+
 
 class TestStackedMechanics:
-    def test_matrix_identity_residual_matches_per_row_calls(self):
-        xdot = random_nonisotropic_velocity(np.random.default_rng(431), size=(5, 12))
-        residuals = matrix_identity_residual(xdot)
-        assert residuals.shape == (5, 12)
-        assert_allclose(residuals.ravel(),
-                        [matrix_identity_residual(x) for x in xdot.reshape(-1, 9)],
-                        rtol=1e-12, atol=1e-16)
-        assert type(matrix_identity_residual(xdot[0, 0])) is float
-
-    def test_transform_momenta_matches_per_row_calls(self):
-        rng = np.random.default_rng(433)
-        p = canonical_momenta(unit_speed_velocity(rng, size=30))
-        ell = group_action(random_unimodular(rng, size=30))
-        moved = transform_momenta(ell, p)
-        assert moved.shape == (30, 9)
-        assert_allclose(moved, [transform_momenta(e, q) for e, q in zip(ell, p)],
-                        rtol=1e-12, atol=1e-15)
-        # one transform broadcasts over a stack of momenta
-        assert_allclose(transform_momenta(ell[0], p),
-                        [transform_momenta(ell[0], q) for q in p], rtol=1e-12, atol=1e-15)
-
     def test_single_transform_is_unchanged(self):
         rng = np.random.default_rng(439)
         p = canonical_momenta(unit_speed_velocity(rng))
@@ -866,13 +837,6 @@ class TestStackedMechanics:
         p[1, 4] = np.nan
         with pytest.raises(InconsistentMomenta):
             invert_momenta(p)
-
-
-def same_bits(a, b):
-    """Equal shapes and equal bits, so that -0 differs from +0 and NaN equals NaN."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return a.shape == b.shape and np.array_equal(a.reshape(-1).view(np.int64),
-                                                 b.reshape(-1).view(np.int64))
 
 
 def exact_momentum_det(p):
@@ -1010,15 +974,6 @@ class TestConstraintInRealArithmetic:
                     invert_momenta(momenta)
             residuals = momentum_constraint_residual(p)
         assert np.isnan(residuals[2]) and np.isfinite(np.delete(residuals, 2)).all()
-
-
-class TestCanonicalMomentaBits:
-    def test_stack_equals_per_row_calls_bit_for_bit(self):
-        # cubic forms of both signs and away from 1, where a one-vector
-        # ``cbrt(f) ** 2`` used to round apart from the stack's
-        v = random_nonisotropic_velocity(np.random.default_rng(613), size=3000)
-        stacked = canonical_momenta(v)
-        assert same_bits(stacked, [canonical_momenta(row) for row in v])
 
 
 class TestDiscreteActionSamples:
@@ -1174,6 +1129,16 @@ class TestKappaRange:
         p = np.array([-2 / 3, 0, 0, 0, 0, 0, 0, 0, -1 / 3])
         with pytest.raises(ValueError, match="^kappa must be nonzero"):
             func(p, sign * kappa)
+
+    @pytest.mark.parametrize("kappa, what", [(None, "None"), (np.array([-1.0]), "shape (1,)"),
+                                             ([-1.0, -2.0], "shape (2,)")])
+    @pytest.mark.parametrize("func", [canonical_momenta, canonical_energy,
+                                      matrix_identity_residual, momentum_constraint_residual,
+                                      invert_momenta])
+    def test_one_kappa_maps_refuse_anything_but_one_number(self, func, kappa, what):
+        p = np.array([-2 / 3, 0, 0, 0, 0, 0, 0, 0, -1 / 3])
+        with pytest.raises(ValueError, match=re.escape(f"kappa must be one number, got {what}")):
+            func(p if func in (momentum_constraint_residual, invert_momenta) else DIAG, kappa)
 
     def test_overflowing_and_vacuous_examples_are_refused(self):
         # c^3 overflowed (a bare OverflowError) or underflowed to 0 (admitting anything)

@@ -31,6 +31,8 @@ from finsler9 import (
 )
 from finsler9.minkowski import _split_blocks
 
+from contract import same_bits
+
 
 def random_timelike(rng, spinor_cap=0.3):
     spatial = rng.uniform(-0.5, 0.5, size=3)
@@ -385,30 +387,6 @@ class TestVectorShape:
 
 
 class TestStackedSubgroup:
-    def test_embedding_matches_per_matrix_calls(self):
-        d2 = random_unimodular(np.random.default_rng(307), n=2, size=(3, 10))
-        d3 = embed_sl2(d2)
-        assert d3.shape == (3, 10, 3, 3)
-        assert_allclose(d3.reshape(-1, 3, 3), [embed_sl2(d) for d in d2.reshape(-1, 2, 2)],
-                        rtol=1e-12, atol=0)
-
-    def test_block_split_matches_per_matrix_calls(self):
-        d2 = random_unimodular(np.random.default_rng(311), n=2, size=40)
-        vec, spin, scalar = block_split_check(d2)
-        assert vec.shape == spin.shape == (40, 4, 4) and scalar.shape == (40,)
-        rows = [block_split_check(d) for d in d2]
-        assert_allclose(vec, [r[0] for r in rows], rtol=1e-12, atol=1e-15)
-        assert_allclose(spin, [r[1] for r in rows], rtol=1e-12, atol=1e-15)
-        assert_allclose(scalar, [r[2] for r in rows], rtol=1e-12, atol=0)
-
-    def test_lorentz_residual_matches_per_block_calls(self):
-        vec, _, _ = block_split_check(random_unimodular(np.random.default_rng(313), n=2,
-                                                        size=40))
-        residuals = lorentz_residual(vec)
-        assert residuals.shape == (40,)
-        assert_allclose(residuals, [lorentz_residual(b) for b in vec], rtol=1e-12, atol=1e-16)
-        assert type(lorentz_residual(vec[0])) is float
-
     def test_one_non_unimodular_matrix_rejects_the_stack(self):
         d2 = random_unimodular(np.random.default_rng(317), n=2, size=6)
         d2[2] *= 1.5
@@ -416,26 +394,6 @@ class TestStackedSubgroup:
             embed_sl2(d2)
         with pytest.raises(NotUnimodular):
             block_split_check(d2)
-
-    def test_reduced_action_of_stacked_curves_matches_per_curve_calls(self):
-        rng = np.random.default_rng(331)
-        tau = np.linspace(0.0, 1.0, 201)
-        pairs = [random_timelike(rng) for _ in range(12)]
-        x4 = np.stack([np.tile(a, (201, 1)) * (1.0 + 0.2 * tau[:, None]) for a, _ in pairs])
-        spinor = np.stack([np.tile(b, (201, 1)) for _, b in pairs])
-        mass, speed = rng.uniform(0.5, 2.0, size=(2, 12))
-        s_cubic, s_mink = reduced_action_check(tau, x4, spinor, mass, speed)
-        rows = [reduced_action_check(tau, *args) for args in zip(x4, spinor, mass, speed)]
-        assert_allclose(s_cubic, [r[0] for r in rows], rtol=1e-12, atol=0)
-        assert_allclose(s_mink, [r[1] for r in rows], rtol=1e-12, atol=0)
-        assert all(type(v) is float for v in rows[0])
-
-
-def same_bits(a, b):
-    """Equal shapes and equal bits, so that -0 differs from +0."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return a.shape == b.shape and np.array_equal(a.reshape(-1).view(np.int64),
-                                                 b.reshape(-1).view(np.int64))
 
 
 def concatenated_solve_x8dot(xdot03, xdot47):
@@ -491,10 +449,6 @@ class TestOneAssembly:
             pair = a[idx][None], b[idx][None]
             assert same_bits(nine[idx], assemble_velocity(*pair)[0])
             assert same_bits(x8[idx], solve_x8dot(*pair)[0])
-            # an unstacked pair evaluates q**1.5 with numpy's scalar power,
-            # which may round differently from the array power of a stack
-            assert_allclose(assemble_velocity(a[idx], b[idx]), nine[idx], rtol=1e-15, atol=0)
-            assert_allclose(solve_x8dot(a[idx], b[idx]), x8[idx], rtol=1e-15, atol=0)
 
     def test_matches_the_concatenated_oracle_bit_for_bit(self):
         # oracle: passes at the concatenating implementation by construction
@@ -549,29 +503,3 @@ class TestOneAssembly:
             assert same_bits(nine[idx], assemble_velocity(a[idx][None], b[idx][None])[0])
         scale = np.maximum(1.0, minkowski_norm_sq(a) ** 1.5)
         assert np.all(np.abs(constraint_residual(nine)) <= 1e-12 * scale)
-
-
-class TestArrayPowerForOnePair:
-    """``q**1.5`` goes through numpy's array power for one pair as for a stack."""
-
-    def pairs(self, n=3000):
-        rng = np.random.default_rng(353)
-        spatial = rng.uniform(-0.5, 0.5, size=(n, 3))
-        q = rng.uniform(0.2, 4.0, size=n)
-        x4 = np.concatenate([np.sqrt(q + np.sum(spatial**2, axis=-1))[:, None], spatial], axis=-1)
-        return x4, rng.uniform(-0.5, 0.5, size=(n, 4))
-
-    def test_one_pair_gives_the_bits_of_its_row_in_a_stack(self):
-        x4, spinor = self.pairs()
-        nine, x8 = assemble_velocity(x4, spinor), solve_x8dot(x4, spinor)
-        for i in range(len(x4)):
-            assert same_bits(assemble_velocity(x4[i], spinor[i]), nine[i])
-            assert same_bits(solve_x8dot(x4[i], spinor[i]), x8[i])
-
-    def test_one_velocity_gives_the_bits_of_its_row_in_a_stack(self):
-        x4, spinor = self.pairs()
-        nine = assemble_velocity(x4, spinor)
-        nine[:, 8] += np.random.default_rng(359).uniform(-0.1, 0.1, size=len(nine))
-        residuals = constraint_residual(nine)
-        for row, expected in zip(nine, residuals):
-            assert same_bits(constraint_residual(row), expected)
