@@ -18,7 +18,7 @@ memory holds the draws plus one block, and residual ``t`` of a check still
 comes from trial ``t`` alone: the residuals do not depend on the block size.
 """
 
-import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +41,7 @@ from .dynamics import (
 from .geometry import (
     LAMBDA_DUAL,
     LAMBDA_MATRICES,
+    _is_count,
     conjugation_action,
     cubic_form,
     group_action,
@@ -405,12 +406,16 @@ CHECK_NAMES = [spec.name for spec in CHECKS]
 
 
 def _check_arguments(seed, trials, tolerances):
-    """ValueError unless ``seed >= 0`` and ``trials >= 1`` are integers and
-    ``tolerances`` maps names of ``CHECK_NAMES`` to finite values."""
-    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+    """ValueError unless ``seed >= 0`` and ``trials >= 1`` are integers (not
+    bools) and ``tolerances`` is None or maps names of ``CHECK_NAMES`` to
+    finite values."""
+    if not _is_count(seed, 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    if not (isinstance(trials, numbers.Integral) and trials >= 1):
+    if not _is_count(trials, 1):
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
+    if not isinstance(tolerances, (Mapping, type(None))):
+        raise ValueError("tolerances must be a mapping of check names to values, "
+                         f"got a {type(tolerances).__name__}")
     for name, value in (tolerances or {}).items():
         if name not in CHECK_NAMES:
             raise ValueError(f"unknown check {name!r} in tolerances")
@@ -426,8 +431,8 @@ def run_checks(seed=0, trials=500, tolerances=None):
     name.  Same seed and trials always produce the same report.  A NaN
     residual counts as a failure and makes its ``worst_residual`` NaN.  A seed
     that is not a non-negative integer, trials that are not a positive
-    integer, an unknown check name or a tolerance that is not finite raise
-    ValueError.
+    integer (a bool is neither), ``tolerances`` that are not a mapping, an
+    unknown check name or a tolerance that is not finite raise ValueError.
     """
     _check_arguments(seed, trials, tolerances)
     tolerances = tolerances or {}

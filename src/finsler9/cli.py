@@ -208,7 +208,7 @@ def _cmd_reduce4d(args):
     try:
         nine, cubic, relativistic = _lagrangians(xdot03, xdot47, mass, light_speed)
     except ValueError as exc:  # a mass, speed or coupling -mass * c out of range
-        raise UsageError(exc) from None
+        raise UsageError(f"--mass and --c (kappa = -mass * c): {exc}") from None
     record = {"x8dot": nine[8], "finsler_density": cubic, "minkowski_density": relativistic}
     _emit(args, list(record), list(record.values()), record)
     return EXIT_OK

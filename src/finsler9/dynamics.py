@@ -13,7 +13,6 @@ one more table of :mod:`finsler9.geometry`'s term-table builder and reader.
 """
 
 import contextlib
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +33,7 @@ from .geometry import (
     _by_blocks,
     _compensated_sums,
     _cubic_gradient,
+    _is_count,
     _item,
     _monomials,
     _norm,
@@ -342,8 +342,10 @@ class Trajectory:
     def __post_init__(self):
         object.__setattr__(self, "x0", _stack(self.x0, 9))
         object.__setattr__(self, "v0", _require_unit_speed(self.v0))
-        s_i, s_f = self.s_range
-        s_f = float(s_f)
+        try:
+            s_i, s_f = map(float, self.s_range)
+        except (TypeError, ValueError):  # not a pair of numbers
+            s_i = s_f = np.nan
         if s_i != 0.0 or not np.isfinite(s_f):
             raise ValueError("the arc-length range must start at 0 and end at a finite value, "
                              f"got {self.s_range!r}")
@@ -373,7 +375,7 @@ class Trajectory:
 
         An ``n`` that is not a non-negative integer raises ValueError naming it.
         """
-        if not (isinstance(n, numbers.Integral) and n >= 0):
+        if not _is_count(n, 0):
             raise ValueError(f"n must be a non-negative integer, got {n!r}")
         s = np.linspace(0.0, self.s_range[1], n)
         return s, self.at(s)
@@ -464,10 +466,12 @@ def action_stationarity_check(traj, eta, amplitudes, kappa=DEFAULT_KAPPA, sample
 
     ``eta`` is a callable ``tau -> (9,)`` or a ``(..., samples, 9)`` stack
     of bumps vanishing at both ends; the slopes have shape ``(...)`` (a
-    float for one bump).  Raises :class:`IsotropicVelocity` when a
+    float for one bump).  A last axis other than 9 raises the library's
+    shape-rule ValueError, and another number of samples a ValueError
+    naming ``(..., samples, 9)``.  Raises :class:`IsotropicVelocity` when a
     perturbed curve touches the isotropic cone (shrink the amplitudes).
     """
-    if not (isinstance(samples, numbers.Integral) and samples >= 200):
+    if not _is_count(samples, 200):
         raise ValueError(f"samples must be an integer of at least 200, got {samples!r}")
     amplitudes = np.asarray(amplitudes, dtype=float)
     if amplitudes.size < 2 or not np.all(amplitudes > 0):  # NaN is not positive
@@ -476,7 +480,7 @@ def action_stationarity_check(traj, eta, amplitudes, kappa=DEFAULT_KAPPA, sample
         raise ValueError(f"amplitudes must be finite, got {amplitudes.tolist()!r}")
     tau = np.linspace(0.0, traj.s_range[1], samples)
     base = traj.at(tau)
-    bump = np.stack([eta(t) for t in tau]) if callable(eta) else np.asarray(eta, dtype=float)
+    bump = _stack(np.stack([eta(t) for t in tau]) if callable(eta) else eta, 9)
     if bump.shape[-2:] != base.shape:
         raise ValueError("eta samples must have shape (..., samples, 9)")
     if np.abs(bump[..., [0, -1], :]).max(initial=0.0) > 1e-12:

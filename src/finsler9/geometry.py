@@ -71,6 +71,11 @@ def _stack(x, *tail, dtype=float):
     return x
 
 
+def _is_count(n, least):
+    """Whether ``n`` is an integer of at least ``least``: a bool is not a count."""
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= least
+
+
 def _item(r):
     """A Python float for a 0-d result, the array itself otherwise."""
     return float(r) if r.ndim == 0 else r
@@ -501,7 +506,7 @@ def _rejection_sample(draw, accept, size):
     shape of them; anything else raises ValueError naming it.
     """
     shape = () if size is None else tuple(size) if np.iterable(size) else (size,)
-    if not all(isinstance(k, numbers.Integral) and k >= 0 for k in shape):
+    if not all(_is_count(k, 0) for k in shape):
         raise ValueError(f"size must be None, a non-negative integer or a tuple of them, "
                          f"got {size!r}")
     count = int(np.prod(shape))
@@ -524,7 +529,7 @@ def random_unimodular(rng, n=3, size=None):
     not a positive integer, or a ``size`` that is not a non-negative integer
     or a shape of them, raises ValueError naming it.
     """
-    if not (isinstance(n, numbers.Integral) and n > 0):
+    if not _is_count(n, 1):
         raise ValueError(f"n must be a positive integer, got {n!r}")
 
     def draw(k):

@@ -79,6 +79,10 @@ def test_action_equivalence_compares_two_computations():
     ({"trials": 2.0}, "trials must be a positive integer"),
     ({"seed": -1}, "seed must be a non-negative integer"),
     ({"seed": 0.5}, "seed must be a non-negative integer"),
+    ({"trials": True}, "trials must be a positive integer, got True"),
+    ({"seed": True}, "seed must be a non-negative integer, got True"),
+    ({"tolerances": [("duality", 1.0)]},
+     "tolerances must be a mapping of check names to values, got a list"),
     ({"tolerances": {"duality": float("nan")}}, "the tolerance of duality is NaN"),
     ({"tolerances": {"nope": 1.0}}, "unknown check 'nope'"),
     ({"tolerances": {"duality": float("inf")}}, "the tolerance of duality is inf"),

@@ -581,13 +581,22 @@ class TestReduce4d:
             assert (code, err) == (0, "")
             assert out.splitlines()[1] == ",".join(map(_fmt, expected))
 
-    def test_nonpositive_mass_is_usage_error(self, capsys):
-        code, _, err = run(
+    @pytest.mark.parametrize("options, reason", [
+        (["--mass", "-1"], "mass and light speed must be positive"),
+        (["--mass", "1e308", "--c", "1e308"],
+         "kappa must be nonzero, with 2^-300 <= |kappa| <= 2^300, got -inf"),
+        (["--mass", "1e-200"],
+         "kappa must be nonzero, with 2^-300 <= |kappa| <= 2^300, got -1e-200"),
+    ])
+    def test_a_mass_or_speed_out_of_range_is_a_usage_error_naming_both(self, options, reason,
+                                                                       capsys):
+        code, out, err = run(
             ["reduce4d", "--xdot03", "1", "0", "0", "0",
-             "--xdot47", "0", "0", "0", "0", "--mass", "-1"],
+             "--xdot47", "0", "0", "0", "0", *options],
             capsys,
         )
-        assert code == 64
+        assert (code, out) == (64, "")
+        assert err == f"Usage: --mass and --c (kappa = -mass * c): {reason}\n"
 
 
 class TestCheck:

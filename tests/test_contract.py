@@ -1,18 +1,32 @@
-"""A stack gives the bits of its rows: one property over every stacked export.
+"""The export contract: one table of every export, and the properties that read it.
 
-Each row of ``CASES`` calls its function on a stack that crosses its
-blocks' edges, on the same rows as a 2-d stack, and on each row alone; the
-results must agree in every bit, the sign of zero and the place of each
-NaN included, and a result for one item must be a Python float (or a numpy
-scalar), never a 0-d array.  A new stacked export joins the contract by
-joining ``CASES``; ``test_every_export_is_a_row_or_not_stacked`` fails for
-an export that is in neither ``CASES`` nor ``NOT_STACKED``.
+``EXPORTS`` has a row for every callable that ``finsler9`` exports (and
+``Class.method`` rows for methods): its pinned parameter names, and either
+its stacking cases or why it takes no stack.  Three properties walk it:
+
+- a stack gives the bits of its rows: each case is called on a stack that
+  crosses its blocks' edges, on the same rows as a 2-d stack, and on each
+  row alone; the results must agree in every bit, the sign of zero and the
+  place of each NaN included, and a result for one item must be a float
+  (a Python float or a numpy scalar), never a 0-d array;
+- the shape rule: an item argument with an axis one too long or one too
+  short, or reduced to a lone scalar, raises ValueError ``expected shape
+  (..., <item>), got shape <shape>``, for one item and for a stack;
+- the kappa rule: every export that takes ``kappa`` refuses one outside
+  ``2^-300 <= |kappa| <= 2^300`` with ValueError.
+
+A new export joins the contract by joining ``EXPORTS``;
+``test_every_export_is_a_row_with_its_pinned_parameters`` fails for an
+export without a row, and for a row whose parameters are not the export's.
 """
 
 import functools
+import inspect
 import pathlib
+import re
 import subprocess
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -50,7 +64,7 @@ from finsler9 import (
     unit_speed_velocity,
     vec_to_matrix,
 )
-from finsler9.dynamics import _DET_TERMS
+from finsler9.dynamics import _DET_TERMS, _KAPPA_RANGE
 from finsler9.geometry import (
     _ACTION_TERMS,
     _BLOCK_ROWS,
@@ -209,57 +223,84 @@ def four_d_curves_and_kappas(rng, n):
     return four_d_curves(rng, n) + (kappas(rng, n),)
 
 
-#: name -> (function, its inputs for ``n`` rows, the stack sizes whose edges it crosses:
-#: its block sizes, or ``ELEMENTWISE`` or ``CURVES``).  A name is the export's,
-#: ``Class.method`` for a method, and may end in ``/variant``.
-CASES = {
-    "canonical_momenta": (canonical_momenta, velocities, (GRADIENT,)),
-    "lagrangian": (lagrangian, velocities, (GRADIENT,)),
-    "lagrangian/per_row_kappa": (lagrangian, velocities_and_kappas, (GRADIENT,)),
-    "canonical_energy": (canonical_energy, velocities, (GRADIENT,)),
-    "invert_momenta": (invert_momenta, admitted_momenta, (GRADIENT, DETERMINANT)),
-    "momentum_constraint_residual": (momentum_constraint_residual, wide_rows, (DETERMINANT,)),
-    "group_action": (group_action, unimodular, (ACTION,)),
-    "embed_sl2": (embed_sl2, unimodular_2x2, (GATE,)),
-    "block_split_check": (block_split_check, unimodular_2x2, (ACTION, GATE)),
-    "conjugation_action": (conjugation_action, unimodular_and_vectors, (ACTION,)),
-    "vec_to_matrix": (vec_to_matrix, wide_rows, (BASIS,)),
-    "momenta_matrix": (momenta_matrix, wide_rows, (BASIS,)),
-    "matrix_to_vec": (matrix_to_vec, hermitian, (BASIS,)),
-    "matrix_identity_residual": (matrix_identity_residual, velocities, (GRADIENT, BASIS)),
-    "cubic_form": (cubic_form, finite_rows, (ELEMENTWISE,)),
-    "CubicMetric.contract": (metric_coefficients().contract, finite_rows, (ELEMENTWISE,)),
-    "minkowski_norm_sq": (minkowski_norm_sq, four_vectors, (ELEMENTWISE,)),
-    "assemble_velocity": (assemble_velocity, timelike_parts, (ELEMENTWISE,)),
-    "solve_x8dot": (solve_x8dot, timelike_parts, (ELEMENTWISE,)),
-    "constraint_residual": (constraint_residual, timelike_velocities, (ELEMENTWISE,)),
-    "lorentz_residual": (lorentz_residual, four_by_four, (ELEMENTWISE,)),
-    "transform_momenta": (transform_momenta, transforms_and_momenta, (ELEMENTWISE,)),
-    "transform_momenta/one_transform": (functools.partial(transform_momenta, ONE_TRANSFORM),
-                                        admitted_momenta, (ELEMENTWISE,)),
-    "general_solution": (lambda x0, s: general_solution(x0, TRAJECTORY.v0, s),
-                         points_and_arc_lengths, (ELEMENTWISE,)),
-    "discrete_action": (functools.partial(discrete_action, TAU), world_lines, (CURVES,)),
-    "action_stationarity_check": (lambda eta: action_stationarity_check(TRAJECTORY, eta, AMPLITUDES),
-                                  bumps, (CURVES,)),
-    "reduced_action_check": (functools.partial(reduced_action_check, TAU), four_d_curves,
-                             (CURVES,)),
-    "reduced_action_check/per_curve_kappa": (functools.partial(reduced_action_check, TAU),
-                                             four_d_curves_and_kappas, (CURVES,)),
+class Case(NamedTuple):
+    """One way to call an export on stacks: ``function(*inputs(rng, n))`` for ``n`` rows."""
+
+    function: Callable
+    inputs: Callable  #: ``(rng, n)`` -> the arguments, each stacked ``n`` rows deep
+    blocks: tuple  #: the stack sizes whose edges it crosses: block sizes, ELEMENTWISE or CURVES
+    variant: str = ""  #: a second case of one export is named ``name/variant``
+
+
+#: name -> (its parameter names, pinned; its stacking cases, or why it takes no stack).
+#: A name is the export's, or ``Class.method`` for a method.
+EXPORTS = {
+    "CubicMetric": (("coefficients",), "one tensor; its contract is a row"),
+    "CubicMetric.contract": (("self", "x"), [
+        Case(metric_coefficients().contract, finite_rows, (ELEMENTWISE,))]),
+    "Trajectory": (("x0", "v0", "s_range"), "one world line; its at is the general_solution row"),
+    "action_stationarity_check": (("traj", "eta", "amplitudes", "kappa", "samples"), [
+        Case(functools.partial(action_stationarity_check, TRAJECTORY, amplitudes=AMPLITUDES),
+             bumps, (CURVES,))]),
+    "arc_length": (("tau", "positions"), "one curve: its samples are its first axis, not a stack"),
+    "assemble_velocity": (("xdot03", "xdot47"), [
+        Case(assemble_velocity, timelike_parts, (ELEMENTWISE,))]),
+    "block_split_check": (("d2",), [Case(block_split_check, unimodular_2x2, (ACTION, GATE))]),
+    "canonical_energy": (("xdot", "kappa"), [Case(canonical_energy, velocities, (GRADIENT,))]),
+    "canonical_momenta": (("xdot", "kappa"), [Case(canonical_momenta, velocities, (GRADIENT,))]),
+    "conjugation_action": (("d", "x"), [
+        Case(conjugation_action, unimodular_and_vectors, (ACTION,))]),
+    "constraint_residual": (("xdot",), [
+        Case(constraint_residual, timelike_velocities, (ELEMENTWISE,))]),
+    "cubic_form": (("x",), [Case(cubic_form, finite_rows, (ELEMENTWISE,))]),
+    "discrete_action": (("tau", "positions", "kappa"), [
+        Case(functools.partial(discrete_action, TAU), world_lines, (CURVES,))]),
+    "embed_sl2": (("d2",), [Case(embed_sl2, unimodular_2x2, (GATE,))]),
+    "general_solution": (("x0", "v0", "s"), [
+        Case(lambda x0, s: general_solution(x0, TRAJECTORY.v0, s), points_and_arc_lengths,
+             (ELEMENTWISE,))]),
+    "group_action": (("d",), [Case(group_action, unimodular, (ACTION,))]),
+    "invert_momenta": (("p", "kappa"), [
+        Case(invert_momenta, admitted_momenta, (GRADIENT, DETERMINANT))]),
+    "lagrangian": (("xdot", "kappa"), [
+        Case(lagrangian, velocities, (GRADIENT,)),
+        Case(lagrangian, velocities_and_kappas, (GRADIENT,), "per_row_kappa")]),
+    "lorentz_residual": (("block",), [Case(lorentz_residual, four_by_four, (ELEMENTWISE,))]),
+    "matrix_identity_residual": (("xdot", "kappa"), [
+        Case(matrix_identity_residual, velocities, (GRADIENT, BASIS))]),
+    "matrix_to_vec": (("m",), [Case(matrix_to_vec, hermitian, (BASIS,))]),
+    "metric_coefficients": ((), "takes nothing"),
+    "minkowski_norm_sq": (("x4",), [Case(minkowski_norm_sq, four_vectors, (ELEMENTWISE,))]),
+    "momenta_matrix": (("p",), [Case(momenta_matrix, wide_rows, (BASIS,))]),
+    "momentum_constraint_residual": (("p", "kappa"), [
+        Case(momentum_constraint_residual, wide_rows, (DETERMINANT,))]),
+    "random_nonisotropic_velocity": (("rng", "margin", "scale", "size"),
+                                     "a sampler: its size is the stack it draws"),
+    "random_unimodular": (("rng", "n", "size"), "a sampler"),
+    "reduced_action_check": (("tau", "xdot4", "spinor", "mass", "light_speed", "kappa"), [
+        Case(functools.partial(reduced_action_check, TAU), four_d_curves, (CURVES,)),
+        Case(functools.partial(reduced_action_check, TAU), four_d_curves_and_kappas, (CURVES,),
+             "per_curve_kappa")]),
+    "reparametrize": (("traj", "s_of_tau", "tau"), "samples one trajectory on one grid"),
+    "run_checks": (("seed", "trials", "tolerances"),
+                   "takes a seed and a trial count; the checks it runs call the rows"),
+    "solve_x8dot": (("xdot03", "xdot47"), [Case(solve_x8dot, timelike_parts, (ELEMENTWISE,))]),
+    "transform_momenta": (("transform", "p"), [
+        Case(transform_momenta, transforms_and_momenta, (ELEMENTWISE,)),
+        Case(functools.partial(transform_momenta, ONE_TRANSFORM), admitted_momenta,
+             (ELEMENTWISE,), "one_transform")]),
+    "unit_speed_velocity": (("rng", "margin", "size"), "a sampler"),
+    "vec_to_matrix": (("x",), [Case(vec_to_matrix, wide_rows, (BASIS,))]),
 }
 
-#: Exports that take no stack, or whose stacked work is a row under another name: name -> why.
-NOT_STACKED = {
-    "random_nonisotropic_velocity": "a sampler: its size is the stack it draws",
-    "unit_speed_velocity": "a sampler",
-    "random_unimodular": "a sampler",
-    "run_checks": "takes a seed and a trial count; the checks it runs call the rows",
-    "reparametrize": "samples one trajectory on one grid",
-    "arc_length": "one curve: its samples are its first axis, not a stack",
-    "metric_coefficients": "takes nothing",
-    "CubicMetric": "its contract is a row",
-    "Trajectory": "one world line; its at is the general_solution row",
-}
+#: Every stacking case by its test id, ``name`` or ``name/variant``.
+CASES = {name + (case.variant and "/" + case.variant): case
+         for name, (_, stacked) in EXPORTS.items() if not isinstance(stacked, str)
+         for case in stacked}
+
+#: Couplings outside ``2^-300 <= |kappa| <= 2^300``, each refused at both signs.
+KAPPA_OUTSIDE = [np.nextafter(_KAPPA_RANGE[0], 0.0), np.nextafter(_KAPPA_RANGE[1], np.inf),
+                 1e-120, 1e300, 0.0, np.inf, np.nan]
 
 
 def parts(result):
@@ -271,11 +312,25 @@ def test_block_sizes():
     assert (GRADIENT, ACTION, DETERMINANT, GATE, BASIS) == (512, 56, 2304, 768, 4096)
 
 
+def test_every_export_is_a_row_with_its_pinned_parameters():
+    exported = exported_callables()
+    assert {name.split(".")[0] for name in EXPORTS} == set(exported)
+
+    def parameters(name):
+        owner, *attributes = name.split(".")
+        return tuple(inspect.signature(
+            functools.reduce(getattr, attributes, exported[owner])).parameters)
+
+    assert {name: params for name, (params, _) in EXPORTS.items()} == {
+        name: parameters(name) for name in EXPORTS}
+    assert all(stacked for _, stacked in EXPORTS.values())  # cases, or a reason
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 @settings(derandomize=True, deadline=None, max_examples=2)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_a_stack_gives_the_bits_of_its_rows(name, seed):
-    function, inputs, blocks = CASES[name]
+    function, inputs, blocks, _ = CASES[name]
     n = max(blocks) + 1
     args = inputs(np.random.default_rng(seed), n)
     rows = [parts(function(*row)) for row in zip(*args)]
@@ -293,13 +348,46 @@ def test_a_stack_gives_the_bits_of_its_rows(name, seed):
     assert agree((2, n // 2))
 
 
-def test_every_export_is_a_row_or_not_stacked():
-    rows = {name.split("/")[0] for name in CASES}
-    functions = {row for row in rows if "." not in row}
-    classes = {row.split(".")[0] for row in rows - functions}
-    assert functions.isdisjoint(NOT_STACKED)
-    assert classes <= set(NOT_STACKED)
-    assert functions | set(NOT_STACKED) == set(exported_callables())
+def misshapen(a, axes):
+    """The stack ``a`` with each of its last ``axes`` axes one shorter, then one longer."""
+    for axis in range(-axes, 0):
+        yield np.delete(a, 0, axis=axis)
+        yield np.concatenate([a, np.take(a, [0], axis=axis)], axis=axis)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_a_misshapen_item_is_refused_by_the_shape_rule(name):
+    """Every argument whose rows are items: a curve's samples change their last axis only."""
+    function, inputs, blocks, _ = CASES[name]
+    args = inputs(np.random.default_rng(0), 3)
+    for i, a in enumerate(args):
+        if a.ndim < 2:
+            continue  # one number a row
+        item = a.shape[-1:] if CURVES in blocks else a.shape[1:]
+        spoilt = [*misshapen(a, len(item))]
+        if CURVES not in blocks:
+            spoilt.append(a[(...,) + (0,) * len(item)])  # a lone scalar
+        for bad in spoilt:
+            for rows in (slice(None), 0):  # a stack, then one item
+                call = [b[rows] for b in args]
+                call[i] = bad[rows]
+                message = (f"expected shape (..., {', '.join(map(str, item))}), "
+                           f"got shape {call[i].shape}")
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    function(*call)
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, (params, _) in EXPORTS.items() if "kappa" in params))
+def test_a_kappa_outside_the_range_is_refused(name):
+    """On one item, through the export's first case, which passes ``kappa`` on."""
+    case = CASES[name]
+    one = [a[0] for a in case.inputs(np.random.default_rng(0), 3)]
+    for kappa in KAPPA_OUTSIDE:
+        for sign in (1.0, -1.0):
+            with pytest.raises(ValueError, match="^" + re.escape(
+                    "kappa must be nonzero, with 2^-300 <= |kappa| <= 2^300, got ")):
+                case.function(*one, kappa=sign * kappa)
 
 
 def verdict(d):

@@ -300,13 +300,6 @@ class TestReducedAction:
         with pytest.raises(ValueError):
             reduced_action_check(tau, x4, np.zeros((201, 4)), -1.0, 1.0)
 
-    @pytest.mark.parametrize("kappa", [0.0, np.nan, 1e300, 1e-120])
-    def test_rejects_kappa_outside_the_range(self, kappa):
-        tau = np.linspace(0.0, 1.0, 5)
-        x4 = np.tile([1.0, 0, 0, 0], (5, 1))
-        with pytest.raises(ValueError, match="^kappa must be nonzero"):
-            reduced_action_check(tau, x4, np.zeros((5, 4)), 1.0, 1.0, kappa=kappa)
-
     def test_rejects_a_default_kappa_outside_the_range(self):
         tau = np.linspace(0.0, 1.0, 5)
         x4 = np.tile([1.0, 0, 0, 0], (5, 1))
@@ -357,33 +350,6 @@ class TestReducedAction:
 
 TIMELIKE = np.array([2.0, 1.0, 0.0, 0.0])
 SPINOR = np.full(4, 0.5)
-
-
-class TestVectorShape:
-    CALLS = {
-        "minkowski_norm_sq": minkowski_norm_sq,
-        "solve_x8dot_xdot03": lambda v: solve_x8dot(v, SPINOR),
-        "solve_x8dot_xdot47": lambda v: solve_x8dot(TIMELIKE, v),
-        "assemble_velocity_xdot03": lambda v: assemble_velocity(v, SPINOR),
-        "assemble_velocity_xdot47": lambda v: assemble_velocity(TIMELIKE, v),
-        "reduced_action_check_xdot4":
-            lambda v: reduced_action_check(np.linspace(0.0, 1.0, 3), v, SPINOR, 1.0, 1.0),
-        "reduced_action_check_spinor":
-            lambda v: reduced_action_check(np.linspace(0.0, 1.0, 3), TIMELIKE, v, 1.0, 1.0),
-    }
-
-    @pytest.mark.parametrize("length", [3, 5])
-    @pytest.mark.parametrize("name", sorted(CALLS))
-    def test_wrong_length_raises_value_error_naming_the_shape(self, name, length):
-        with pytest.raises(ValueError, match=rf"got shape \(3, {length}\)"):
-            self.CALLS[name](np.full((3, length), 2.0))
-        with pytest.raises(ValueError, match=rf"got shape \({length},\)"):
-            self.CALLS[name](np.full(length, 2.0))
-
-    @pytest.mark.parametrize("shape", [(3, 3), (5, 5), (4, 5), (2, 4, 3), (4,)])
-    def test_block_that_is_not_4x4_raises_value_error_naming_the_shape(self, shape):
-        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
-            lorentz_residual(np.ones(shape))
 
 
 class TestStackedSubgroup:
