@@ -408,7 +408,8 @@ CHECK_NAMES = [spec.name for spec in CHECKS]
 def _check_arguments(seed, trials, tolerances):
     """ValueError unless ``seed >= 0`` and ``trials >= 1`` are integers (not
     bools) and ``tolerances`` is None or maps names of ``CHECK_NAMES`` to
-    finite values."""
+    values that convert to finite floats; the message names the argument,
+    or the check and its value."""
     if not _is_count(seed, 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if not _is_count(trials, 1):
@@ -419,7 +420,11 @@ def _check_arguments(seed, trials, tolerances):
     for name, value in (tolerances or {}).items():
         if name not in CHECK_NAMES:
             raise ValueError(f"unknown check {name!r} in tolerances")
-        value = float(value)
+        try:
+            value = float(value)
+        except (TypeError, ValueError, OverflowError):  # None, "x", 10**400
+            raise ValueError(f"the tolerance of {name} must be a finite number, "
+                             f"got {value!r}") from None
         if not np.isfinite(value):  # an infinite tolerance would switch its check off
             raise ValueError(f"the tolerance of {name} is {'NaN' if np.isnan(value) else value}")
 

@@ -431,7 +431,7 @@ def reparametrize(traj, s_of_tau, tau):
     s = np.asarray(s_of_tau(tau) if callable(s_of_tau) else s_of_tau, dtype=float)
     if s.shape != tau.shape:
         raise ValueError("s samples must align with tau samples")
-    if abs(s[0]) > 1e-12:
+    if not abs(s[0]) <= 1e-12:  # NaN fails too
         raise ValueError(f"reparametrization must start at s = 0, got {s[0]!r}")
     steps = np.diff(s)
     if np.any(steps == 0.0) or np.any(np.sign(steps) != np.sign(steps[0])):
@@ -503,6 +503,11 @@ def action_stationarity_check(traj, eta, amplitudes, kappa=DEFAULT_KAPPA, sample
 _MARGIN_LIMIT = (2.0 / 3.0) ** 1.5
 
 
+def _is_real(x):
+    """Whether ``x`` is one real number: a Python or numpy int or float, or a 0-d array of one."""
+    return np.ndim(x) == 0 and np.asarray(x).dtype.kind in "biuf"
+
+
 def random_nonisotropic_velocity(rng, margin=1e-3, scale=1.0, size=None):
     """Uniform velocity draws rejected until safely off the isotropic cone.
 
@@ -512,12 +517,13 @@ def random_nonisotropic_velocity(rng, margin=1e-3, scale=1.0, size=None):
     scale]``.  ``size`` (a non-negative int or a shape of them) stacks
     that many velocities, shape ``size + (9,)``; rejected draws are redrawn
     as a block.  ``size=None`` returns one ``(9,)`` velocity.  A margin
-    outside ``0 <= margin < (2/3)^1.5``, a scale that is not finite and
-    positive, or another ``size`` raises ValueError naming it.
+    that is not a real number in ``0 <= margin < (2/3)^1.5``, a scale that
+    is not a finite positive number, or another ``size`` raises ValueError
+    naming it, before anything is drawn.
     """
-    if not 0.0 <= margin < _MARGIN_LIMIT:  # NaN fails too
+    if not (_is_real(margin) and 0.0 <= margin < _MARGIN_LIMIT):  # NaN fails too
         raise ValueError(f"margin must be finite with 0 <= margin < (2/3)^1.5, got {margin!r}")
-    if not 0.0 < scale < np.inf:
+    if not (_is_real(scale) and 0.0 < scale < np.inf):
         raise ValueError(f"scale must be finite and positive, got {scale!r}")
 
     def accept(x):

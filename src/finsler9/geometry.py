@@ -76,6 +76,11 @@ def _is_count(n, least):
     return isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= least
 
 
+def _is_index(i):
+    """Whether ``i`` indexes one of the nine components: an integer in 0..8, not a bool."""
+    return _is_count(i, 0) and i <= 8
+
+
 def _item(r):
     """A Python float for a 0-d result, the array itself otherwise."""
     return float(r) if r.ndim == 0 else r
@@ -122,21 +127,29 @@ class CubicMetric:
 
     Built from its coefficients at non-decreasing index triples
     ``(a, b, c)`` with ``0 <= a <= b <= c <= 8``; every other index order
-    reads the entry of its sorted triple.  The tensor is held as one
+    reads the entry of its sorted triple.  Any other key (a bool is not an
+    index) raises ValueError naming it.  The tensor is held as one
     read-only dense ``(9, 9, 9)`` array.
     """
 
     def __init__(self, coefficients):
         table = np.zeros((9, 9, 9))
-        for (a, b, c), value in coefficients.items():
-            if not 0 <= a <= b <= c <= 8:
-                raise ValueError(f"triple {(a, b, c)} is not non-decreasing in 0..8")
-            table[a, b, c] = value
+        for triple, value in coefficients.items():
+            if not (isinstance(triple, tuple) and len(triple) == 3
+                    and all(map(_is_index, triple)) and triple == tuple(sorted(triple))):
+                raise ValueError(f"triple {triple!r} is not non-decreasing in 0..8")
+            table[triple] = value
         self._dense = table[tuple(np.sort(np.indices(table.shape), axis=0))]
         self._dense.setflags(write=False)
 
     def coefficient(self, a, b, c):
-        """Value of the symmetric tensor at any index order (0 if absent)."""
+        """Value of the symmetric tensor at any index order (0 if absent).
+
+        Each index must be an integer in 0..8 (a bool is not); otherwise
+        ValueError names the triple.
+        """
+        if not all(map(_is_index, (a, b, c))):
+            raise ValueError(f"triple {(a, b, c)!r} is not in 0..8")
         return float(self._dense[a, b, c])
 
     def triples(self):

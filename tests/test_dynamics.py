@@ -15,13 +15,7 @@ import finsler9.dynamics
 from finsler9 import (
     LAMBDA_DUAL,
     LAMBDA_MATRICES,
-    DegeneratePath,
     InconsistentMomenta,
-    IsotropicVelocity,
-    NonMonotone,
-    NonRealEntry,
-    NotUnitSpeed,
-    SingularMomentumMatrix,
     Trajectory,
     action_stationarity_check,
     arc_length,
@@ -38,7 +32,6 @@ from finsler9 import (
     momentum_constraint_residual,
     random_nonisotropic_velocity,
     random_unimodular,
-    reduced_action_check,
     reparametrize,
     transform_momenta,
     unit_speed_velocity,
@@ -145,49 +138,6 @@ class TestLagrangian:
             xdot = random_nonisotropic_velocity(rng)
             det = np.linalg.det(vec_to_matrix(xdot)).real
             assert_allclose(lagrangian(xdot, -1.0), -np.cbrt(det), rtol=1e-12)
-
-    def test_rejects_zero_velocity(self):
-        with pytest.raises(IsotropicVelocity):
-            lagrangian(np.zeros(9))
-
-    def test_rejects_isotropic_velocity(self):
-        e0 = np.zeros(9)
-        e0[0] = 1.0  # cubic form vanishes on a single slot-0 velocity
-        with pytest.raises(IsotropicVelocity):
-            lagrangian(e0)
-
-    def test_rejects_kappa_zero(self):
-        with pytest.raises(ValueError):
-            lagrangian(DIAG, kappa=0.0)
-
-    @pytest.mark.parametrize("func", [lagrangian, canonical_momenta, canonical_energy])
-    def test_rejects_nan_velocity(self, func):
-        xdot = np.stack([DIAG, DIAG])
-        xdot[1, 4] = np.nan
-        with pytest.raises(IsotropicVelocity):
-            func(xdot[1])
-        with pytest.raises(IsotropicVelocity):
-            func(xdot)
-
-    @pytest.mark.parametrize("func", [lagrangian, canonical_momenta, canonical_energy])
-    @pytest.mark.parametrize("slot", [0, 4, 8])
-    @pytest.mark.parametrize("value", [np.inf, -np.inf])  # NaN: test_rejects_nan_velocity
-    def test_infinite_velocity_raises_the_token_before_any_warning(self, func, slot, value):
-        xdot = np.stack([DIAG, DIAG, DIAG])
-        xdot[1, slot] = value
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(IsotropicVelocity, match=re.escape("(1 velocity sample(s))")):
-                func(xdot[1])
-            with pytest.raises(IsotropicVelocity, match=re.escape("(1 velocity sample(s))")):
-                func(xdot)
-
-    def test_non_finite_and_isotropic_rows_are_counted_together(self):
-        xdot = np.stack([DIAG] * 4)
-        xdot[0, 8] = np.inf
-        xdot[2] = np.zeros(9)
-        with pytest.raises(IsotropicVelocity, match=re.escape("(2 velocity sample(s))")):
-            canonical_momenta(xdot)
 
 
 class TestCanonicalMomenta:
@@ -349,25 +299,6 @@ class TestInvertMomenta:
             raw = (-2.0 / 3.0) * np.linalg.inv(momenta_matrix(p))
             assert np.abs(raw - raw.conj().T).max() <= 1e-12 * np.abs(raw).max()
 
-    def test_rejects_inconsistent_momenta(self):
-        with pytest.raises(InconsistentMomenta, match="residual"):
-            invert_momenta(np.zeros(9))
-
-    def test_rejects_ill_conditioned_momenta(self):
-        # det sits exactly on the constraint (power-of-two scalings keep the
-        # arithmetic exact), but the matrix is numerically singular relative
-        # to its own norm
-        kappa = -1.0
-        c = 2 * kappa / 3
-        k = 26
-        p = np.zeros(9)
-        p[4] = -c * 2.0**k                 # antidiagonal corner entries
-        p[0] = -c * 4.0 ** (-k) / 2.0      # middle entry via p0 = -p3
-        p[3] = -p[0]
-        assert abs(momentum_constraint_residual(p, kappa)) < 1e-8 * abs(c) ** 3
-        with pytest.raises(SingularMomentumMatrix):
-            invert_momenta(p, kappa)
-
     def test_constraint_pins_each_momentum_direction(self):
         # one scalar relation removes exactly one degree of freedom: any
         # single-component bump off a valid point breaks it
@@ -387,30 +318,6 @@ class TestInvertMomenta:
                 bumped[a] += 1e-3
                 invert_momenta(bumped, kappa)
 
-
-class TestStackedMomenta:
-    @staticmethod
-    def stack(seed, shape=(4, 16)):
-        rng = np.random.default_rng(seed)
-        v = np.stack([unit_speed_velocity(rng) for _ in range(np.prod(shape))])
-        return canonical_momenta(v).reshape(*shape, 9)
-
-    def test_one_bumped_row_rejects_the_stack(self):
-        p = self.stack(197, shape=(32,))
-        p[11, 3] += 1e-3
-        with pytest.raises(InconsistentMomenta) as single:
-            invert_momenta(p[11])
-        with pytest.raises(InconsistentMomenta) as stacked:
-            invert_momenta(p)
-        assert str(stacked.value) == str(single.value)
-
-    def test_single_vector_results_keep_their_types_and_messages(self):
-        p = self.stack(199, shape=(1,))[0]
-        assert type(momentum_constraint_residual(p)) is float
-        assert invert_momenta(p).shape == (9,)
-        with pytest.raises(InconsistentMomenta) as zero:
-            invert_momenta(np.zeros(9))
-        assert str(zero.value) == "residual 2.962963e-01 exceeds 2.963e-09"
 
 
 class TestMomentumCovariance:
@@ -448,67 +355,13 @@ class TestGeneralSolution:
                 s**3, rel=1e-9, abs=1e-12
             )
 
-    def test_rejects_non_unit_speed(self):
-        with pytest.raises(NotUnitSpeed):
-            general_solution(np.zeros(9), 2 * DIAG, 1.0)
-        with pytest.raises(NotUnitSpeed):
-            Trajectory(np.zeros(9), 2 * DIAG)
-
-    @pytest.mark.parametrize("v0", [np.append(DIAG, 0.0), DIAG[:8], np.stack([DIAG, DIAG])],
-                             ids=["ten", "eight", "stack"])
-    def test_rejects_a_velocity_that_is_not_one_9_vector(self, v0):
-        with pytest.raises(ValueError, match="9-vector"):
-            Trajectory(np.zeros(9), v0)
-
     def test_trajectory_accepts_negative_final_arc_length(self):
         traj = Trajectory(np.zeros(9), DIAG, s_range=(0.0, -2.0))
         s, points = traj.sample(5)
         assert s[-1] == -2.0
         assert_allclose(points[-1], -2.0 * DIAG)
-
-    @pytest.mark.parametrize("n", [-1, 2.5, np.float64(3.0), "3", None, True])
-    def test_sample_refuses_an_n_that_is_not_a_non_negative_integer(self, n):
-        traj = Trajectory(np.zeros(9), DIAG)
-        message = f"n must be a non-negative integer, got {n!r}"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            traj.sample(n)
-        s, points = traj.sample(np.int64(0))
+        s, points = traj.sample(np.int64(0))  # a numpy count
         assert s.shape == (0,) and points.shape == (0, 9)
-
-    @pytest.mark.parametrize("s_range", [(0.5, 1.0), 5.0, (0.0, 1.0, 2.0), (0.0, None)])
-    def test_trajectory_range_must_be_a_pair_from_zero(self, s_range):
-        with pytest.raises(ValueError, match=re.escape(
-                "the arc-length range must start at 0 and end at a finite value, "
-                f"got {s_range!r}")):
-            Trajectory(np.zeros(9), DIAG, s_range=s_range)
-
-    @pytest.mark.parametrize("end", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
-    def test_trajectory_range_must_end_at_a_finite_value(self, end):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="finite value"):
-                Trajectory(np.zeros(9), DIAG, s_range=(0.0, end))
-
-    def test_unbroadcastable_arc_lengths_name_both_shapes(self):
-        with pytest.raises(ValueError, match=r"shape \(5,\) and initial points of shape \(2, 9\)"):
-            Trajectory(np.zeros((2, 9)), DIAG).sample(5)
-        with pytest.raises(ValueError, match=r"shape \(4,\) and initial points of shape \(3, 9\)"):
-            general_solution(np.zeros((3, 9)), DIAG, np.zeros(4))
-
-    @pytest.mark.parametrize("x0, s", [
-        (np.zeros(9), np.nan),
-        (np.zeros(9), np.inf),  # inf times a zero component of the velocity is NaN
-        (np.full(9, np.nan), 0.0),
-        (np.full(9, 1e308), 1e308),
-    ], ids=["nan_s", "inf_s", "nan_x0", "overflow"])
-    def test_a_point_beyond_the_float_range_raises_non_real_entry(self, x0, s):
-        message = "^the world line is beyond the float range$"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(NonRealEntry, match=message):
-                general_solution(x0, DIAG, s)
-            with pytest.raises(NonRealEntry, match=message):
-                Trajectory(np.stack([np.zeros(9), x0]), DIAG).at(s)
 
     def test_equals_the_trajectory_evaluation_bit_for_bit_on_stacked_points(self):
         rng = np.random.default_rng(619)
@@ -542,20 +395,6 @@ class TestArcLength:
         assert fine < 1e-4
         assert coarse / fine > 3.0  # second-order convergence
 
-    def test_too_few_samples(self):
-        with pytest.raises(DegeneratePath):
-            arc_length([0.0, 1.0], np.array([np.zeros(9), DIAG]))
-
-    def test_isotropic_sample_rejected(self):
-        tau = np.linspace(0.0, 1.0, 11)
-        positions = tau[:, None] * np.concatenate([[1.0], np.zeros(8)])
-        with pytest.raises(IsotropicVelocity):
-            arc_length(tau, positions)
-
-    def test_scalar_tau_is_degenerate(self):
-        with pytest.raises(DegeneratePath):
-            arc_length(0.5, DIAG)
-
 
 class TestReparametrize:
     def test_identity_map(self):
@@ -574,34 +413,6 @@ class TestReparametrize:
         expected = canonical_momenta(traj.v0)
         momenta = canonical_momenta(velocities)
         assert np.abs(momenta - expected).max() < 1e-8
-
-    def test_rejects_flat_segment(self):
-        traj = Trajectory(np.zeros(9), DIAG)
-        tau = np.linspace(0.0, 1.0, 11)
-        with pytest.raises(NonMonotone):
-            reparametrize(traj, lambda t: np.minimum(t, 0.5), tau)
-
-    def test_rejects_sign_change(self):
-        traj = Trajectory(np.zeros(9), DIAG)
-        tau = np.linspace(0.0, 1.0, 51)
-        with pytest.raises(NonMonotone):
-            reparametrize(traj, lambda t: np.sin(3.0 * t), tau)
-
-    def test_must_start_at_zero(self):
-        traj = Trajectory(np.zeros(9), DIAG)
-        tau = np.linspace(0.0, 1.0, 11)
-        with pytest.raises(ValueError):
-            reparametrize(traj, lambda t: t + 1.0, tau)
-
-    def test_single_sample_is_degenerate(self):
-        traj = Trajectory(np.zeros(9), DIAG)
-        with pytest.raises(DegeneratePath):
-            reparametrize(traj, lambda t: t, np.zeros(1))
-
-    def test_samples_not_aligned_with_tau_are_refused(self):
-        traj = Trajectory(np.zeros(9), DIAG)
-        with pytest.raises(ValueError, match="s samples must align with tau samples"):
-            reparametrize(traj, np.linspace(0.0, 1.0, 10), np.linspace(0.0, 1.0, 11))
 
 
 def interior_bump(slot, lo=0.3, hi=0.7):
@@ -650,46 +461,6 @@ class TestActionStationarity:
         s2 = action_stationarity_check(traj, interior_bump(1), amplitudes, kappa=-2.0)
         assert s1 == pytest.approx(s2, abs=1e-9)
 
-    def test_huge_amplitude_crosses_the_cone(self):
-        # a tent in slot 8 at unit amplitude cancels the velocity's ninth
-        # component exactly on half the grid, parking the curve on the cone
-        def tent(t):
-            out = np.zeros(9)
-            out[8] = min(t, 1.0 - t)
-            return out
-
-        traj = Trajectory(np.zeros(9), DIAG)
-        with pytest.raises(IsotropicVelocity):
-            action_stationarity_check(traj, tent, [1.0, 0.5])
-
-    def test_rejects_non_vanishing_endpoints(self):
-        traj = Trajectory(np.zeros(9), DIAG)
-        with pytest.raises(ValueError):
-            action_stationarity_check(traj, lambda t: np.ones(9), [1e-2, 1e-3])
-
-    @pytest.mark.parametrize("samples", [50, 199, 200.5, 201.0])
-    def test_samples_must_be_an_integer_of_at_least_200(self, samples):
-        traj = Trajectory(np.zeros(9), DIAG)
-        with pytest.raises(ValueError, match=re.escape(
-                f"samples must be an integer of at least 200, got {samples!r}")):
-            action_stationarity_check(traj, interior_bump(1), [1e-2, 1e-3], samples=samples)
-
-    @pytest.mark.parametrize("amplitudes", [[1e-2], [1e-2, 0.0], [1e-2, -1e-3], [1e-2, np.nan]])
-    def test_needs_two_positive_amplitudes(self, amplitudes):
-        with pytest.raises(ValueError, match="at least two positive amplitudes"):
-            action_stationarity_check(Trajectory(np.zeros(9), DIAG), interior_bump(1),
-                                      amplitudes)
-
-    def test_refuses_an_infinite_amplitude(self):
-        with pytest.raises(ValueError, match=re.escape("amplitudes must be finite, got [0.01, inf]")):
-            action_stationarity_check(Trajectory(np.zeros(9), DIAG), interior_bump(1),
-                                      [1e-2, np.inf])
-
-    def test_an_all_zero_bump_changes_no_action_and_is_refused(self):
-        with pytest.raises(ValueError, match="produced no action change"):
-            action_stationarity_check(Trajectory(np.zeros(9), DIAG), np.zeros((201, 9)),
-                                      [1e-2, 1e-3])
-
     @staticmethod
     def bumps(slots, scales):
         tau = np.linspace(0.0, 1.0, 201)
@@ -710,19 +481,6 @@ class TestActionStationarity:
         assert type(action_stationarity_check(traj, interior_bump(4), amplitudes)) is float
         bump = self.bumps([4], [1.0])[0]
         assert type(action_stationarity_check(traj, bump, amplitudes)) is float
-
-    @pytest.mark.parametrize("end", [0, -1])
-    @pytest.mark.parametrize("index", [0, 2, 4])
-    def test_the_endpoint_guard_fires_for_any_bump_in_a_stack(self, index, end):
-        bumps = self.bumps([0, 1, 4, 6, 8], [1.0] * 5)
-        bumps[index, end, 3] = 1e-6
-        with pytest.raises(ValueError, match="vanish at both endpoints"):
-            action_stationarity_check(Trajectory(np.zeros(9), DIAG), bumps, [1e-2, 1e-3])
-
-    def test_a_stack_on_another_grid_is_refused(self):
-        with pytest.raises(ValueError, match=re.escape("(..., samples, 9)")):
-            action_stationarity_check(Trajectory(np.zeros(9), DIAG), np.zeros((5, 200, 9)),
-                                      [1e-2, 1e-3])
 
 
 def nonisotropic_loop(rng, margin=1e-3, scale=1.0):
@@ -767,30 +525,6 @@ class TestVelocitySamplers:
         assert random_nonisotropic_velocity(rng, size=0).shape == (0, 9)
         assert rng.random() == np.random.default_rng(421).random()
 
-    # a margin of (2/3)^1.5 or more admits no draw, and a zero scale draws the isotropic zero
-    @pytest.mark.parametrize("sampler", [random_nonisotropic_velocity, unit_speed_velocity])
-    @pytest.mark.parametrize("margin", [np.nan, np.inf, -1e-3, (2 / 3) ** 1.5, 0.6])
-    def test_a_margin_no_draw_can_meet_is_refused(self, sampler, margin):
-        rng = np.random.default_rng(423)
-        with pytest.raises(ValueError, match=re.escape(
-                f"margin must be finite with 0 <= margin < (2/3)^1.5, got {margin!r}")):
-            sampler(rng, margin)
-        assert rng.random() == np.random.default_rng(423).random()  # nothing drawn
-
-    @pytest.mark.parametrize("scale", [0.0, -1.0, np.nan, np.inf])
-    def test_a_scale_that_is_not_finite_and_positive_is_refused(self, scale):
-        with pytest.raises(ValueError, match=re.escape(
-                f"scale must be finite and positive, got {scale!r}")):
-            random_nonisotropic_velocity(np.random.default_rng(425), scale=scale)
-
-    @pytest.mark.parametrize("sampler", [random_nonisotropic_velocity, unit_speed_velocity])
-    @pytest.mark.parametrize("size", [2.5, -1, (2, -1), (2, 1.5), True, (2, True)])
-    def test_a_size_that_is_not_a_shape_is_refused(self, sampler, size):
-        with pytest.raises(ValueError, match=re.escape(
-                "size must be None, a non-negative integer or a tuple of them, "
-                f"got {size!r}")):
-            sampler(np.random.default_rng(427), size=size)
-
     def test_the_largest_margin_draws_are_admitted(self):
         x = random_nonisotropic_velocity(np.random.default_rng(429), margin=0.5, size=3)
         assert np.all(np.abs(cubic_form(x)) >= 0.5 * np.linalg.norm(x, axis=-1) ** 3)
@@ -802,12 +536,7 @@ class TestStackedMechanics:
         p = canonical_momenta(unit_speed_velocity(rng))
         ell = group_action(random_unimodular(rng))
         assert np.array_equal(transform_momenta(ell, p), np.linalg.solve(ell.T, p))
-
-    def test_nan_row_raises_inconsistent_momenta(self):
-        p = canonical_momenta(unit_speed_velocity(np.random.default_rng(443), size=3))
-        p[1, 4] = np.nan
-        with pytest.raises(InconsistentMomenta):
-            invert_momenta(p)
+        assert np.array_equal(transform_momenta(np.eye(9), p), p)
 
 
 def exact_momentum_det(p):
@@ -948,109 +677,13 @@ class TestConstraintInRealArithmetic:
 
 
 class TestDiscreteActionSamples:
-    @pytest.mark.parametrize("samples", [0, 1])
-    def test_fewer_than_two_samples_raise_degenerate_path(self, samples):
-        tau = np.linspace(0.0, 1.0, samples)
-        with pytest.raises(DegeneratePath, match="at least 2 samples"):
-            discrete_action(tau, np.zeros((samples, 9)))
-
-    def test_stacked_curve_of_one_sample_raises_degenerate_path(self):
-        with pytest.raises(DegeneratePath, match=re.escape("got shape (1,)")):
-            discrete_action(np.zeros(1), np.ones((3, 1, 9)))
-
     def test_two_samples_still_give_an_action(self):
         tau = np.array([0.0, 1.0])
         positions = np.stack([np.zeros(9), DIAG])
         assert discrete_action(tau, positions) == pytest.approx(-1.0)
 
 
-def _rest_actions(tau, samples=None):
-    """``reduced_action_check`` of a particle at rest, at ``samples`` samples (default: tau's)."""
-    shape = np.shape(tau) if samples is None else (samples,)
-    rest = np.broadcast_to([1.0, 0.0, 0.0, 0.0], shape + (4,))
-    return reduced_action_check(tau, rest, np.zeros(shape + (4,)), 1.0, 1.0)
 
-
-class TestGridGuard:
-    """The functions of a sampled curve share one grid rule and one grid message."""
-
-    CALLS = {
-        "arc_length": (3, lambda tau: arc_length(tau, np.zeros(np.shape(tau) + (9,)))),
-        "reparametrize": (2, lambda tau: reparametrize(Trajectory(np.zeros(9), DIAG),
-                                                       np.zeros(np.shape(tau)), tau)),
-        "discrete_action": (2, lambda tau: discrete_action(tau, np.zeros(np.shape(tau) + (9,)))),
-        "reduced_action_check": (2, _rest_actions),
-    }
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("name", sorted(CALLS))
-    def test_a_non_finite_sample_raises_degenerate_path(self, name, bad):
-        k, call = self.CALLS[name]
-        tau = np.linspace(0.0, 1.0, k + 2)
-        tau[1] = bad
-        with pytest.raises(DegeneratePath, match=f"^need a finite grid, got {bad}$"):
-            call(tau)
-
-    @pytest.mark.parametrize("name, call", [
-        ("arc_length", lambda tau, n: arc_length(tau, np.zeros((n, 9)) + DIAG)),
-        ("discrete_action", lambda tau, n: discrete_action(tau, np.zeros((2, n, 9)) + DIAG)),
-        ("reduced_action_check", lambda tau, n: _rest_actions(tau, n)),
-    ])
-    @pytest.mark.parametrize("samples", [4, 6])
-    def test_a_grid_of_another_length_names_both_shapes(self, name, call, samples):
-        curve = {"arc_length": (samples, 9), "discrete_action": (2, samples, 9),
-                 "reduced_action_check": (samples, 4)}[name]
-        with pytest.raises(ValueError, match=re.escape(
-                f"a grid of shape (5,) does not align with the samples of a curve of shape "
-                f"{curve}")):
-            call(np.linspace(0.0, 1.0, 5), samples)
-
-    @pytest.mark.parametrize("name", sorted(CALLS))
-    def test_short_scalar_and_2d_grids_raise_one_message(self, name):
-        k, call = self.CALLS[name]
-        for tau in (np.linspace(0.0, 1.0, k - 1), np.zeros(0), 0.5, np.zeros((k, 2))):
-            shape = np.shape(tau)
-            with pytest.raises(DegeneratePath, match=re.escape(
-                    f"need a 1-d grid of at least {k} samples, got shape {shape}")):
-                call(tau)
-
-
-class TestSingularTransform:
-    """A transform that cannot carry momenta raises a token, with no numpy warning."""
-
-    BAD = {
-        "zero": lambda t: np.zeros((9, 9)),
-        "rank_8": lambda t: t @ np.diag([1.0] * 8 + [0.0]),
-        "nan": lambda t: np.where(np.eye(9, dtype=bool), np.nan, t),
-        "inf": lambda t: np.where(np.arange(81).reshape(9, 9) == 40, np.inf, t),
-    }
-
-    @pytest.mark.parametrize("name", sorted(BAD))
-    def test_one_transform_or_a_stack_raises_the_token(self, name):
-        rng = np.random.default_rng(613)
-        p = canonical_momenta(unit_speed_velocity(rng, size=4))
-        ell = group_action(random_unimodular(rng, size=4))
-        ell[2] = self.BAD[name](ell[2])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for transform, momenta in ((ell[2], p[2]), (ell, p), (ell[2], p)):
-                with pytest.raises(SingularMomentumMatrix, match="singular or not finite"):
-                    transform_momenta(transform, momenta)
-            moved = transform_momenta(np.delete(ell, 2, axis=0), np.delete(p, 2, axis=0))
-        assert np.isfinite(moved).all()
-
-    def test_a_tiny_pivot_that_overflows_the_momenta_raises_the_token(self):
-        tiny = np.eye(9)
-        tiny[0, 0] = 1e-310  # finite and nonsingular, but p[0] / 1e-310 overflows
-        p = canonical_momenta(unit_speed_velocity(np.random.default_rng(617), size=3))
-        assert np.all(np.abs(p[:, 0]) > 1e-2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            stack = np.stack([np.eye(9), tiny, np.eye(9)])
-            for transform, momenta in ((tiny, p[1]), (stack, p), (tiny, p)):
-                with pytest.raises(SingularMomentumMatrix, match="singular or not finite"):
-                    transform_momenta(transform, momenta)
-            assert np.array_equal(transform_momenta(np.eye(9), p), p)
 
 
 class TestAdmissionCube:
@@ -1085,23 +718,6 @@ class TestKappaRange:
     """
 
     INSIDE = list(_KAPPA_RANGE)
-
-    @pytest.mark.parametrize("kappa, what", [(None, "None"), (np.array([-1.0]), "shape (1,)"),
-                                             ([-1.0, -2.0], "shape (2,)")])
-    @pytest.mark.parametrize("func", [canonical_momenta, canonical_energy,
-                                      matrix_identity_residual, momentum_constraint_residual,
-                                      invert_momenta])
-    def test_one_kappa_maps_refuse_anything_but_one_number(self, func, kappa, what):
-        p = np.array([-2 / 3, 0, 0, 0, 0, 0, 0, 0, -1 / 3])
-        with pytest.raises(ValueError, match=re.escape(f"kappa must be one number, got {what}")):
-            func(p if func in (momentum_constraint_residual, invert_momenta) else DIAG, kappa)
-
-    def test_overflowing_and_vacuous_examples_are_refused(self):
-        # c^3 overflowed (a bare OverflowError) or underflowed to 0 (admitting anything)
-        with pytest.raises(ValueError):
-            momentum_constraint_residual(np.ones(9), kappa=1e300)
-        with pytest.raises(ValueError):
-            invert_momenta(np.random.default_rng(5).uniform(-1, 1, 9) * 1e-120, kappa=1e-120)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("kappa", INSIDE)

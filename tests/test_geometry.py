@@ -13,8 +13,6 @@ from finsler9 import (
     LAMBDA_DUAL,
     LAMBDA_MATRICES,
     CubicMetric,
-    NonRealEntry,
-    NotHermitian,
     NotUnimodular,
     canonical_momenta,
     conjugation_action,
@@ -195,11 +193,6 @@ class TestMetricCoefficients:
         g.as_dense()[0, 1, 2] = 7.0  # a copy: the tensor stays as built
         assert g.coefficient(0, 1, 2) == 0.5
 
-    @pytest.mark.parametrize("triple", [(8, 0, 0), (-1, 0, 0), (0, 0, 9)])
-    def test_constructor_rejects_unsorted_or_out_of_range_triple(self, triple):
-        with pytest.raises(ValueError, match="non-decreasing"):
-            CubicMetric({triple: 1.0})
-
 
 class TestVectorMatrixIsomorphism:
     def test_basis_vectors_map_to_basis_matrices(self):
@@ -217,12 +210,6 @@ class TestVectorMatrixIsomorphism:
         rng = np.random.default_rng(19)
         x = rng.uniform(-5, 5, size=(50, 9))
         assert_allclose(matrix_to_vec(vec_to_matrix(x)), x, atol=1e-14)
-
-    def test_rejects_non_hermitian(self):
-        m = np.eye(3, dtype=complex)
-        m[0, 1] = 1e-6
-        with pytest.raises(NotHermitian):
-            matrix_to_vec(m)
 
 
 class TestGroupAction:
@@ -282,12 +269,6 @@ class TestGroupAction:
             assert_allclose(group_action(d1 @ d2),
                             group_action(d1) @ group_action(d2), atol=1e-10)
 
-    def test_rejects_non_unimodular(self):
-        with pytest.raises(NotUnimodular):
-            group_action(2.0 * np.eye(3))
-        with pytest.raises(NotUnimodular):
-            conjugation_action(2.0 * np.eye(3), e(0))
-
     def test_trace_formula_is_exactly_real_even_for_extreme_entries(self):
         # each basis matrix is sparse enough that the trace accumulates at
         # most one conjugate pair, so the imaginary parts cancel exactly
@@ -299,30 +280,12 @@ class TestGroupAction:
         ell = group_action(d)  # must not raise
         assert np.isrealobj(ell)
 
-    def test_overflowing_entries_raise_non_real_entry_without_a_warning(self):
-        # det d is exactly 1, but the action's terms (1e160)^2 overflow, and
-        # the non-finite entries must raise the token
-        d = np.diag([1e160, 1e-160, 1.0])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(NonRealEntry, match="the action has a non-finite entry"):
-                group_action(d)
-            with pytest.raises(NonRealEntry):
-                group_action(np.stack([np.eye(3), d]))
-
     def test_random_unimodular_has_unit_determinant(self):
         rng = np.random.default_rng(41)
         for n in (2, 3):
             for _ in range(50):
                 d = random_unimodular(rng, n=n)
                 assert abs(np.linalg.det(d) - 1.0) < 1e-12
-
-    @pytest.mark.parametrize("n", [0, -1, 2.0, 1.5, "3", None, True])
-    def test_random_unimodular_refuses_an_n_that_is_not_a_positive_integer(self, n):
-        rng = np.random.default_rng(43)
-        with pytest.raises(ValueError, match=re.escape(f"n must be a positive integer, got {n!r}")):
-            random_unimodular(rng, n=n)
-        assert random_unimodular(rng, n=np.int64(1), size=2).shape == (2, 1, 1)
 
 
 def unimodular_loop(rng, n=3):
@@ -333,19 +296,6 @@ def unimodular_loop(rng, n=3):
         if abs(det) >= 0.1:
             return d / det ** (1.0 / n)
 
-
-class TestStackedGroupAction:
-    def test_one_non_unimodular_matrix_rejects_the_stack(self):
-        d = random_unimodular(np.random.default_rng(53), size=8)
-        d[5] *= 2.0
-        with pytest.raises(NotUnimodular):
-            group_action(d)
-
-    def test_nan_matrix_is_not_unimodular(self):
-        d = random_unimodular(np.random.default_rng(59), size=3)
-        d[1, 0, 0] = np.nan
-        with pytest.raises(NotUnimodular):
-            group_action(d)
 
 
 class TestRandomUnimodularSize:
@@ -366,11 +316,7 @@ class TestRandomUnimodularSize:
         rng = np.random.default_rng(71)
         assert random_unimodular(rng, size=(2, 3)).shape == (2, 3, 3, 3)
         assert random_unimodular(rng, size=0).shape == (0, 3, 3)
-
-    @pytest.mark.parametrize("size", [2.5, -1, (2, -1)])
-    def test_a_size_that_is_not_a_shape_is_refused(self, size):
-        with pytest.raises(ValueError, match=re.escape(f"got {size!r}")):
-            random_unimodular(np.random.default_rng(73), size=size)
+        assert random_unimodular(rng, n=np.int64(1), size=2).shape == (2, 1, 1)
 
 
 # The basis maps as complex einsums over all 81 basis entries per vector:
@@ -487,24 +433,6 @@ class TestBasisMapsAsRealProducts:
             assert_conjugation_is_the_group_action(random_unimodular(rng), x[:n])
         assert_conjugation_is_the_group_action(random_unimodular(rng, size=2500), x[:2500])
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_non_finite_matrix_is_not_hermitian(self, value):
-        m = vec_to_matrix(np.random.default_rng(157).uniform(-1, 1, size=(6, 9)))
-        m[2, 0, 0] = value
-        with pytest.raises(NotHermitian):
-            matrix_to_vec(m)
-        m = vec_to_matrix(np.ones(9))
-        m[1, 2] = value
-        with pytest.raises(NotHermitian):
-            matrix_to_vec(m)
-
-    def test_conjugation_of_a_nan_row_is_not_hermitian(self):
-        rng = np.random.default_rng(163)
-        x = rng.uniform(-1, 1, size=(6, 9))
-        x[4, 7] = np.nan
-        with pytest.raises(NotHermitian):
-            conjugation_action(random_unimodular(rng), x)
-
 
 class TestConjugationOfExtremeVectors:
     def test_large_finite_vector_gives_its_finite_image_without_a_warning(self):
@@ -519,29 +447,6 @@ class TestConjugationOfExtremeVectors:
         assert same_bits(got, 2.0**10 * scaled)  # power-of-two scaling is exact
         assert_allclose(got, 2.0**10 * conjugation_oracle(d, 2.0**-10 * x),
                         rtol=0, atol=1e-14 * np.abs(got).max())
-
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("stacked_d", [False, True])
-    def test_non_finite_rows_are_not_hermitian_without_a_warning(self, value, stacked_d):
-        rng = np.random.default_rng(239)
-        x = rng.uniform(-1, 1, size=(6, 9))
-        x[4, 7] = value
-        d = random_unimodular(rng, size=6 if stacked_d else None)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(NotHermitian, match="non-finite entry"):
-                conjugation_action(d, x)
-            with pytest.raises(NotHermitian, match="non-finite entry"):
-                conjugation_action(d[0] if stacked_d else d, x[4])
-
-    def test_image_beyond_the_float_range_is_not_hermitian_without_a_warning(self):
-        d = random_unimodular(np.random.default_rng(2))
-        x = np.full(9, 1e307)
-        assert np.abs(conjugation_action(d, 2.0**-10 * x)).max() > np.finfo(float).max / 2.0**10
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(NotHermitian, match="non-finite entry"):
-                conjugation_action(d, x)
 
 
 def gradient_oracle(x):
@@ -687,15 +592,6 @@ class TestHermitianResidue:
         assert np.array_equal(got, expected, equal_nan=True)
         for a, b in per_matrix:
             assert np.array_equal(a, b, equal_nan=True)
-
-    def test_message_names_the_nine_entry_residue(self):
-        rng = np.random.default_rng(227)
-        m = vec_to_matrix_oracle(rng.uniform(-1, 1, size=(50, 9)))
-        m[17, 2, 1] += 3e-9 - 2e-9j
-        m[30, 0, 0] += 1e-10j
-        expected = f"conjugate-symmetry residue {hermitian_residue_oracle(m):.3e} exceeds"
-        with pytest.raises(NotHermitian, match=re.escape(expected)):
-            matrix_to_vec(m)
 
 
 def einsum_action(d):
@@ -920,28 +816,6 @@ class TestClosedFormDeterminant:
         assert np.count_nonzero(forms) == 48 and set(np.abs(forms[forms != 0])) == {1.0}
         assert [t.shape[:2] for t in _COMPLEX_DET_TERMS] == [(24, 2)] * 4
 
-    def test_two_by_two_gate(self):
-        d2 = random_unimodular(np.random.default_rng(241), n=2, size=50)
-        assert embed_sl2(d2).shape == (50, 3, 3) and embed_sl2(d2[7]).shape == (3, 3)
-        d2[7] *= 1.0 + 1e-8
-        with pytest.raises(NotUnimodular):
-            embed_sl2(d2)
-
-    @pytest.mark.parametrize("entry", [np.inf, complex(1, np.nan)])
-    def test_non_finite_entries_are_not_unimodular(self, entry):
-        d = random_unimodular(np.random.default_rng(251), size=4)
-        d[2, 1, 1] = entry
-        with pytest.raises(NotUnimodular):
-            group_action(d)
-
-    def test_overflowing_determinant_reads_inf_without_a_warning(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(NotUnimodular, match=r"\|det - 1\| = inf exceeds"):
-                group_action(1e160 * np.eye(3))
-            with pytest.raises(NotUnimodular, match="= nan exceeds"):
-                group_action(np.stack([1e160 * np.eye(3), np.full((3, 3), np.nan)]))
-
     def test_cofactors_that_overflow_to_inf_minus_inf_read_inf(self):
         # every entry is finite, but two terms overflow with opposite signs,
         # so the expanded determinant is NaN
@@ -955,17 +829,3 @@ class TestClosedFormDeterminant:
             with pytest.raises(NotUnimodular, match=r"\|det - 1\| = inf exceeds"):
                 embed_sl2(d[:2, :2])
 
-    @pytest.mark.parametrize("entry, reads", [(np.inf, "inf"), (-np.inf, "inf"),
-                                              (complex(0, np.inf), "inf"),
-                                              (np.nan, "nan"), (complex(1, np.nan), "nan")])
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_one_non_finite_entry(self, n, entry, reads):
-        d = random_unimodular(np.random.default_rng(263), n=n, size=3)
-        d[1, 0, 1] = entry
-        gate = embed_sl2 if n == 2 else group_action
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(NotUnimodular, match=rf"\|det - 1\| = {reads} exceeds"):
-                gate(d)
-            with pytest.raises(NotUnimodular, match=rf"\|det - 1\| = {reads} exceeds"):
-                gate(d[1])

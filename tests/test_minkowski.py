@@ -14,9 +14,6 @@ from finsler9 import (
     BlockLeakage,
     IsotropicVelocity,
     MINKOWSKI_METRIC,
-    NonRealEntry,
-    NonTimelike,
-    NotUnimodular,
     assemble_velocity,
     block_split_check,
     constraint_residual,
@@ -57,10 +54,6 @@ class TestEmbedding:
         for _ in range(100):
             d3 = embed_sl2(random_unimodular(rng, n=2))
             assert abs(np.linalg.det(d3) - 1.0) < 1e-12
-
-    def test_rejects_non_unimodular(self):
-        with pytest.raises(NotUnimodular):
-            embed_sl2(2.0 * np.eye(2))
 
     def test_subgroup_closure(self):
         rng = np.random.default_rng(223)
@@ -166,25 +159,6 @@ class TestConstraint:
             lhs = constraint_residual(xdot) + q**1.5
             assert lhs == pytest.approx(cubic_form(xdot), rel=1e-12, abs=1e-14)
 
-    def test_rejects_spacelike_part(self):
-        xdot = np.zeros(9)
-        xdot[1] = 1.0
-        xdot[8] = 1.0
-        with pytest.raises(NonTimelike):
-            constraint_residual(xdot)
-
-    def test_rejects_nan_velocity(self):
-        with pytest.raises(NonTimelike):
-            constraint_residual(np.full(9, np.nan))
-
-    def test_rejects_stack_with_one_nan_row(self):
-        xdot = np.zeros((5, 9))
-        xdot[:, 0] = xdot[:, 8] = 1.0
-        assert np.array_equal(constraint_residual(xdot), np.zeros(5))
-        xdot[3, 2] = np.nan
-        with pytest.raises(NonTimelike):
-            constraint_residual(xdot)
-
 
 class TestSolveNinthVelocity:
     def test_rest_velocity(self):
@@ -220,22 +194,6 @@ class TestSolveNinthVelocity:
         expected = (q**1.5 - spinor_terms(x4, spinor)) / q
         assert np.array_equal(solve_x8dot(x4, spinor), expected)
         assert np.array_equal(solve_x8dot(x4[0], spinor[0]), expected[0])
-
-    def test_rejects_null_part(self):
-        with pytest.raises(NonTimelike):
-            solve_x8dot([1.0, 1.0, 0.0, 0.0], np.zeros(4))
-
-    def test_rejects_nan_four_velocity(self):
-        with pytest.raises(NonTimelike):
-            solve_x8dot(np.full(4, np.nan), np.zeros(4))
-
-    def test_rejects_stack_with_one_nan_row(self):
-        x4 = np.zeros((5, 4))
-        x4[:, 0] = 1.0
-        assert np.array_equal(solve_x8dot(x4, np.zeros(4)), np.ones(5))
-        x4[1, 0] = np.nan
-        with pytest.raises(NonTimelike):
-            solve_x8dot(x4, np.zeros(4))
 
     def test_constraint_is_lorentz_invariant(self):
         rng = np.random.default_rng(263)
@@ -294,18 +252,6 @@ class TestReducedAction:
                                       kappa=-1.01 * mass * speed)
         assert abs(s9 - s4) >= 1e-3 * abs(s4)
 
-    def test_rejects_nonpositive_parameters(self):
-        tau = np.linspace(0.0, 1.0, 201)
-        x4 = np.tile([1.0, 0, 0, 0], (201, 1))
-        with pytest.raises(ValueError):
-            reduced_action_check(tau, x4, np.zeros((201, 4)), -1.0, 1.0)
-
-    def test_rejects_a_default_kappa_outside_the_range(self):
-        tau = np.linspace(0.0, 1.0, 5)
-        x4 = np.tile([1.0, 0, 0, 0], (5, 1))
-        with pytest.raises(ValueError, match="^kappa must be nonzero"):
-            reduced_action_check(tau, x4, np.zeros((5, 4)), 2.0**-301, 1.0)
-
     @pytest.mark.parametrize("size", [31.7, 1e8])
     def test_rejects_a_rest_curve_near_the_isotropic_cone(self, size):
         # at rest |f| / |x|^3 is about size^-6: the admission's 1e-9 from 31.6 on
@@ -320,46 +266,10 @@ class TestReducedAction:
         spinor[2, 1] = 31.5
         assert reduced_action_check(tau, x4, spinor, 1.0, 1.0)[0] < 0.0
 
-    @pytest.mark.parametrize("x4, mass, kappa", [
-        ([1e103, 0.0, 0.0, 0.0], 1.0, None),  # q ** 1.5 overflows the ninth velocity
-        ([1.0, 0.0, 0.0, 0.0], 1e308, -1.0),  # mass * light_speed overflows
-    ], ids=["velocity", "rest_energy"])
-    def test_a_sample_beyond_the_float_range_raises_non_real_entry(self, x4, mass, kappa):
-        tau = np.linspace(0.0, 1.0, 3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(NonRealEntry, match="^the 4D-limit record is beyond the float"):
-                reduced_action_check(tau, np.tile(x4, (3, 1)), np.zeros((3, 4)), mass, mass,
-                                     kappa=kappa)
-
-    def test_an_overflowing_default_kappa_is_refused_without_a_warning(self):
-        tau = np.linspace(0.0, 1.0, 3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="^kappa must be nonzero.*got -inf$"):
-                reduced_action_check(tau, np.tile([1.0, 0, 0, 0], (3, 1)), np.zeros((3, 4)),
-                                     1e308, 1e308)
-
-    def test_rejects_spacelike_sample(self):
-        tau = np.linspace(0.0, 1.0, 201)
-        x4 = np.tile([1.0, 0, 0, 0], (201, 1))
-        x4[100] = [0.5, 0.9, 0, 0]
-        with pytest.raises(NonTimelike):
-            reduced_action_check(tau, x4, np.zeros((201, 4)), 1.0, 1.0)
-
 
 TIMELIKE = np.array([2.0, 1.0, 0.0, 0.0])
 SPINOR = np.full(4, 0.5)
 
-
-class TestStackedSubgroup:
-    def test_one_non_unimodular_matrix_rejects_the_stack(self):
-        d2 = random_unimodular(np.random.default_rng(317), n=2, size=6)
-        d2[2] *= 1.5
-        with pytest.raises(NotUnimodular):
-            embed_sl2(d2)
-        with pytest.raises(NotUnimodular):
-            block_split_check(d2)
 
 
 def concatenated_solve_x8dot(xdot03, xdot47):
@@ -390,14 +300,6 @@ def broadcastable_timelike_parts(draw):
     return np.concatenate([x0[..., None], spatial], axis=-1), spinor
 
 
-def residual_with_ninth_one(x4, s4):
-    return constraint_residual(np.concatenate([x4, s4, [1.0]]))
-
-
-def reduced_action_on_a_curve(x4, s4):
-    xs, ss = np.tile(TIMELIKE, (3, 1)), np.tile(SPINOR, (3, 1))
-    xs[1], ss[1] = x4, s4
-    return reduced_action_check(np.linspace(0.0, 1.0, 3), xs, ss, 1.0, 1.0)
 
 
 class TestOneAssembly:
@@ -436,28 +338,6 @@ class TestOneAssembly:
 
     def test_one_pair_gives_a_python_float(self):
         assert type(solve_x8dot(TIMELIKE, SPINOR)) is float
-
-    @pytest.mark.parametrize("x4, s4", [
-        (TIMELIKE, [0.5, np.nan, 0.5, 0.5]),
-        (TIMELIKE, [0.5, 0.5, -np.inf, 0.5]),
-        ([np.inf, 1.0, 0.0, 0.0], SPINOR),
-    ], ids=["nan_spinor", "inf_spinor", "inf_four_velocity"])
-    @pytest.mark.parametrize("call", [solve_x8dot, assemble_velocity,
-                                      residual_with_ninth_one, reduced_action_on_a_curve],
-                             ids=lambda call: call.__name__)
-    def test_non_finite_parts_raise_non_timelike(self, call, x4, s4):
-        with pytest.raises(NonTimelike, match="velocity parts must be finite"):
-            call(np.asarray(x4, dtype=float), np.asarray(s4, dtype=float))
-
-    @pytest.mark.parametrize("call", [
-        assemble_velocity, solve_x8dot,
-        lambda x4, s4: reduced_action_check(np.linspace(0.0, 1.0, 4), x4, s4, 1.0, 1.0),
-    ], ids=["assemble_velocity", "solve_x8dot", "reduced_action_check"])
-    def test_parts_that_do_not_broadcast_name_both_shapes(self, call):
-        x4, spinor = np.tile(TIMELIKE, (3, 1)), np.tile(SPINOR, (2, 1))
-        expected = "velocity parts of shapes (3, 4) and (2, 4) do not broadcast"
-        with pytest.raises(ValueError, match=re.escape(expected)):
-            call(x4, spinor)
 
     @settings(derandomize=True, deadline=None)
     @given(broadcastable_timelike_parts())
