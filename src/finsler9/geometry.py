@@ -11,6 +11,7 @@ realizes SL(3, C) as the symmetry group of the geometry.
 
 import itertools
 import numbers
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -125,19 +126,29 @@ def _norm(x):
 class CubicMetric:
     """Fully symmetric rank-3 coefficient tensor on the 9-space.
 
-    Built from its coefficients at non-decreasing index triples
-    ``(a, b, c)`` with ``0 <= a <= b <= c <= 8``; every other index order
-    reads the entry of its sorted triple.  Any other key (a bool is not an
-    index) raises ValueError naming it.  The tensor is held as one
+    Built from a mapping of non-decreasing index triples ``(a, b, c)``,
+    ``0 <= a <= b <= c <= 8``, to finite real coefficients; every other
+    index order reads the entry of its sorted triple.  Anything else raises
+    ValueError: naming the argument if it is not a mapping, the key if it is
+    not such a triple (a bool is not an index), or the triple and its value
+    if the value is not one finite real number.  The tensor is held as one
     read-only dense ``(9, 9, 9)`` array.
     """
 
     def __init__(self, coefficients):
+        if not isinstance(coefficients, Mapping):
+            raise ValueError("coefficients must be a mapping of index triples to values, "
+                             f"got {type(coefficients).__name__}")
         table = np.zeros((9, 9, 9))
         for triple, value in coefficients.items():
             if not (isinstance(triple, tuple) and len(triple) == 3
                     and all(map(_is_index, triple)) and triple == tuple(sorted(triple))):
                 raise ValueError(f"triple {triple!r} is not non-decreasing in 0..8")
+            # one real number, as ``dynamics._is_real`` reads it, and finite
+            if not (np.ndim(value) == 0 and np.asarray(value).dtype.kind in "biuf"
+                    and np.isfinite(value)):
+                raise ValueError(f"the coefficient at {triple!r} must be a finite real number, "
+                                 f"got {value!r}")
             table[triple] = value
         self._dense = table[tuple(np.sort(np.indices(table.shape), axis=0))]
         self._dense.setflags(write=False)

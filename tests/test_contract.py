@@ -400,9 +400,16 @@ def rest(n):
 #: its refusals). A name is the export's, or ``Class.method`` for a method.
 EXPORTS = {
     "CubicMetric": (("coefficients",), "one tensor; its contract is a row", [
-        Refusal(({triple: 1.0},), ValueError, f"triple {triple!r} is not non-decreasing in 0..8")
-        for triple in [(8, 0, 0), (-1, 0, 0), (0, 0, 9), (0, 0, 1.5), "abc", (0, 0),
-                       (True, 1, 2)]]),
+        *(Refusal(({triple: 1.0},), ValueError, f"triple {triple!r} is not non-decreasing in 0..8")
+          for triple in [(8, 0, 0), (-1, 0, 0), (0, 0, 9), (0, 0, 1.5), "abc", (0, 0),
+                         (True, 1, 2)]),
+        *(Refusal(({(0, 0, 0): 1.0, (0, 1, 2): value},), ValueError,
+                  f"the coefficient at (0, 1, 2) must be a finite real number, got {value!r}")
+          for value in [np.nan, np.inf, -np.inf, np.float32(np.inf), None, "x", 1j,
+                        np.array([1.0]), 10**400]),
+        *(Refusal((coefficients,), ValueError, "coefficients must be a mapping of index triples "
+                  f"to values, got {type(coefficients).__name__}")
+          for coefficients in [None, [((0, 0, 0), 1.0)]])]),
     "CubicMetric.coefficient": (("self", "a", "b", "c"), "one entry", [
         Refusal((metric_coefficients(), *triple), ValueError, f"triple {triple!r} is not in 0..8")
         for triple in [(-1, 0, 0), (9, 0, 0), (0, 8, 1.5), (0, True, 0)]]),
