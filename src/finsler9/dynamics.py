@@ -313,8 +313,11 @@ def _require_unit_speed(v0):
     v0 = np.asarray(v0, dtype=float)
     if v0.shape != (9,):
         raise ValueError(f"expected one 9-vector, got shape {v0.shape}")
-    gap = abs(cubic_form(v0) - 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite gap fails below
+        gap = abs(cubic_form(v0) - 1.0)
     if not gap <= UNIT_SPEED_TOL:
+        if np.isnan(gap) and not np.isnan(v0).any():  # the terms of large entries overflowed
+            gap = np.inf
         raise NotUnitSpeed(f"|det - 1| = {gap:.3e} exceeds {UNIT_SPEED_TOL:.1e}")
     return v0
 

@@ -299,6 +299,8 @@ def tent(t):
 
 
 DIAG = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0])
+#: Velocities whose cubic form overflows, or meets inf * 0: their gap reads inf.
+OVERFLOWING = [1e103 * DIAG, np.full(9, 1e103), with_entry(DIAG, 0, np.inf)]
 P0 = np.array([-2 / 3, 0, 0, 0, 0, 0, 0, 0, -1 / 3])  # DIAG's momenta at kappa = -1
 E0 = with_entry(np.zeros(9), 0, 1.0)  # on the isotropic cone
 REST = np.array([1.0, 0.0, 0.0, 0.0])
@@ -417,6 +419,8 @@ EXPORTS = {
         Case(metric_coefficients().contract, finite_rows, (ELEMENTWISE,))], []),
     "Trajectory": (("x0", "v0", "s_range"), "one world line; its at is the general_solution row", [
         *refuse(NotUnitSpeed, gap("7.000e+00"), (np.zeros(9), 2 * DIAG)),
+        *refuse(NotUnitSpeed, gap("inf"), *((np.zeros(9), v0) for v0 in OVERFLOWING)),
+        *refuse(NotUnitSpeed, gap("nan"), (np.zeros(9), with_entry(DIAG, 0, np.nan))),
         *(Refusal((np.zeros(9), v0), ValueError, f"expected one 9-vector, got shape {v0.shape}")
           for v0 in (np.append(DIAG, 0.0), DIAG[:8], np.stack([DIAG, DIAG]))),
         *(Refusal((np.zeros(9), DIAG, s_range), ValueError, "the arc-length range must start at 0 "
@@ -502,6 +506,8 @@ EXPORTS = {
         Case(lambda x0, s: general_solution(x0, TRAJECTORY.v0, s), points_and_arc_lengths,
              (ELEMENTWISE,))], [
         *refuse(NotUnitSpeed, gap("7.000e+00"), (np.zeros(9), 2 * DIAG, 1.0)),
+        *refuse(NotUnitSpeed, gap("inf"), *((np.zeros(9), v0, 1.0) for v0 in OVERFLOWING)),
+        *refuse(NotUnitSpeed, gap("nan"), (np.zeros(9), with_entry(DIAG, 0, np.nan), 1.0)),
         *refuse(ValueError, "arc lengths of shape (4,) and initial points of shape (3, 9) do not "
                 "broadcast", (np.zeros((3, 9)), DIAG, np.zeros(4))),
         *refuse(NonRealEntry, "the world line is beyond the float range",

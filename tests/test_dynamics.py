@@ -148,29 +148,6 @@ class TestCanonicalMomenta:
         expected[8] = -1.0 / 3.0
         assert_allclose(p, expected, atol=1e-15)
 
-    def test_finite_difference_oracle(self):
-        rng = np.random.default_rng(103)
-        worst = 0.0
-        for _ in range(500):
-            xdot = random_nonisotropic_velocity(rng)
-            p = canonical_momenta(xdot, -1.0)
-            h = 1e-6 * max(1.0, np.linalg.norm(xdot))
-            for a in range(9):
-                step = np.zeros(9)
-                step[a] = h
-                fd = (lagrangian(xdot + step) - lagrangian(xdot - step)) / (2 * h)
-                worst = max(worst, abs(fd - p[a]) / (1 + abs(p[a])))
-        assert worst < 1e-6
-
-    @pytest.mark.parametrize("c", [0.5, 2.0, 7.0])
-    def test_invariant_under_velocity_rescaling(self, c):
-        rng = np.random.default_rng(107)
-        for _ in range(100):
-            xdot = random_nonisotropic_velocity(rng)
-            p = canonical_momenta(xdot)
-            assert_allclose(canonical_momenta(c * xdot), p,
-                            rtol=0, atol=1e-12 * np.abs(p).max())
-
     def test_matches_hand_expanded_gradient(self):
         rng = np.random.default_rng(191)
         xdot = np.stack([random_nonisotropic_velocity(rng) for _ in range(1000)])
@@ -191,12 +168,6 @@ class TestCanonicalMomenta:
 class TestCanonicalEnergy:
     def test_diagonal_velocity(self):
         assert canonical_energy(DIAG) == pytest.approx(0.0, abs=1e-15)
-
-    def test_vanishes_on_random_velocities(self):
-        rng = np.random.default_rng(113)
-        for _ in range(500):
-            xdot = random_nonisotropic_velocity(rng)
-            assert abs(canonical_energy(xdot)) <= 1e-10 * abs(lagrangian(xdot))
 
     def test_vanishes_after_rescaling(self):
         rng = np.random.default_rng(127)
@@ -226,14 +197,6 @@ class TestMatrixIdentity:
     def test_diagonal_velocity_residual_zero(self):
         assert matrix_identity_residual(DIAG) < 1e-15
 
-    def test_residual_small_on_random_velocities(self):
-        rng = np.random.default_rng(131)
-        for _ in range(1000):
-            xdot = random_nonisotropic_velocity(rng)
-            p = canonical_momenta(xdot)
-            scale = 1.0 + np.linalg.norm(xdot) ** 2 * np.linalg.norm(p)
-            assert matrix_identity_residual(xdot) <= 1e-10 * scale
-
     def test_odd_under_velocity_sign_flip(self):
         rng = np.random.default_rng(137)
         xdot = random_nonisotropic_velocity(rng)
@@ -255,13 +218,6 @@ class TestMomentumConstraint:
             -(2 * kappa / 3) ** 3
         )
 
-    def test_vanishes_on_generated_momenta(self):
-        rng = np.random.default_rng(139)
-        c3 = abs(2.0 / 3.0) ** 3
-        for _ in range(500):
-            p = canonical_momenta(unit_speed_velocity(rng))
-            assert abs(momentum_constraint_residual(p)) <= 1e-9 * c3
-
 
 class TestInvertMomenta:
     def test_diagonal_inversion(self):
@@ -280,24 +236,6 @@ class TestInvertMomenta:
             det = np.linalg.det(vec_to_matrix(recovered)).real
             assert abs(det - 1.0) < 1e-9
             assert np.abs(canonical_momenta(recovered) - p).max() < 1e-9
-
-    def test_cofactor_path_matches_generic_inverse(self):
-        rng = np.random.default_rng(151)
-        for _ in range(500):
-            p = canonical_momenta(unit_speed_velocity(rng))
-            va = invert_momenta(p)
-            vmat = (-2.0 / 3.0) * np.linalg.inv(momenta_matrix(p))
-            vi = matrix_to_vec(0.5 * (vmat + vmat.conj().T))
-            assert np.abs(va - vi).max() <= 1e-11 * np.abs(vi).max()
-
-    def test_scaled_cofactor_matrix_is_hermitian(self):
-        # the raw LU velocity matrix c N^-1, before symmetrisation, scaled by
-        # its largest entry as the ``inverse_hermiticity`` check does
-        rng = np.random.default_rng(157)
-        for _ in range(100):
-            p = canonical_momenta(unit_speed_velocity(rng))
-            raw = (-2.0 / 3.0) * np.linalg.inv(momenta_matrix(p))
-            assert np.abs(raw - raw.conj().T).max() <= 1e-12 * np.abs(raw).max()
 
     def test_constraint_pins_each_momentum_direction(self):
         # one scalar relation removes exactly one degree of freedom: any

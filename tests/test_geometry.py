@@ -101,12 +101,6 @@ class TestBasis:
             assert np.array_equal(LAMBDA_DUAL[a], LAMBDA_MATRICES[a])
         assert np.array_equal(LAMBDA_DUAL[8], 2 * LAMBDA_MATRICES[8])
 
-    def test_duality_exact_all_81_pairs(self):
-        for a in range(9):
-            for b in range(9):
-                value = 0.5 * np.trace(LAMBDA_DUAL[a] @ LAMBDA_MATRICES[b])
-                assert value == (1.0 if a == b else 0.0)
-
 
 class TestCubicForm:
     def test_diagonal_vector(self):
@@ -261,13 +255,6 @@ class TestGroupAction:
         rng = np.random.default_rng(31)
         assert_allclose(conjugation_action(random_unimodular(rng), np.zeros(9)),
                         np.zeros(9))
-
-    def test_homomorphism(self):
-        rng = np.random.default_rng(37)
-        for _ in range(100):
-            d1, d2 = random_unimodular(rng), random_unimodular(rng)
-            assert_allclose(group_action(d1 @ d2),
-                            group_action(d1) @ group_action(d2), atol=1e-10)
 
     def test_trace_formula_is_exactly_real_even_for_extreme_entries(self):
         # each basis matrix is sparse enough that the trace accumulates at

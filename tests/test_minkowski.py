@@ -55,14 +55,6 @@ class TestEmbedding:
             d3 = embed_sl2(random_unimodular(rng, n=2))
             assert abs(np.linalg.det(d3) - 1.0) < 1e-12
 
-    def test_subgroup_closure(self):
-        rng = np.random.default_rng(223)
-        for _ in range(100):
-            a = random_unimodular(rng, n=2)
-            b = random_unimodular(rng, n=2)
-            gap = np.abs(embed_sl2(a) @ embed_sl2(b) - embed_sl2(a @ b)).max()
-            assert gap <= 1e-13
-
 
 class TestBlockSplit:
     def test_identity(self):
@@ -82,23 +74,6 @@ class TestBlockSplit:
         expected[0, 3] = expected[3, 0] = sh
         assert_allclose(vec, expected, atol=1e-13)
         assert scalar == 1.0
-
-    def test_scalar_slot_is_exactly_one(self):
-        rng = np.random.default_rng(227)
-        for _ in range(200):
-            ell = group_action(embed_sl2(random_unimodular(rng, n=2)))
-            assert abs(ell[8, 8] - 1.0) <= 1e-12
-            assert np.abs(ell[8, :8]).max() <= 1e-12
-            assert np.abs(ell[:8, 8]).max() <= 1e-12
-
-    def test_no_cross_block_leakage(self):
-        rng = np.random.default_rng(229)
-        mask = np.zeros((9, 9), dtype=bool)
-        mask[:4, :4] = mask[4:8, 4:8] = True
-        mask[8, 8] = True
-        for _ in range(200):
-            ell = group_action(embed_sl2(random_unimodular(rng, n=2)))
-            assert np.abs(np.where(mask, 0.0, ell)).max() <= 1e-12
 
     def test_generic_group_element_leaks(self):
         # a full 3x3 unimodular matrix mixes the blocks, so the splitter's
@@ -126,12 +101,6 @@ class TestLorentzResidual:
         block[0, 0] = block[3, 3] = np.cosh(eta)
         block[0, 3] = block[3, 0] = np.sinh(eta)
         assert lorentz_residual(block) <= 1e-12
-
-    def test_vector_blocks_preserve_the_metric(self):
-        rng = np.random.default_rng(241)
-        for _ in range(100):
-            vec, _, _ = block_split_check(random_unimodular(rng, n=2))
-            assert lorentz_residual(vec) <= 1e-10
 
     def test_metric_signature(self):
         assert_allclose(MINKOWSKI_METRIC, np.diag([1.0, -1.0, -1.0, -1.0]))
@@ -167,14 +136,6 @@ class TestSolveNinthVelocity:
     def test_time_dilation(self):
         assert solve_x8dot([2.0, 0, 0, 0], np.zeros(4)) == pytest.approx(2.0)
 
-    def test_closure(self):
-        rng = np.random.default_rng(257)
-        for _ in range(500):
-            x4, spinor = random_timelike(rng)
-            nine = assemble_velocity(x4, spinor)
-            scale = max(1.0, minkowski_norm_sq(x4) ** 1.5)
-            assert abs(constraint_residual(nine)) <= 1e-12 * scale
-
     def test_matches_hand_expanded_spinor_terms(self):
         # the part of the cubic form without the ninth velocity, written out
         def spinor_terms(x4, s4):
@@ -194,16 +155,6 @@ class TestSolveNinthVelocity:
         expected = (q**1.5 - spinor_terms(x4, spinor)) / q
         assert np.array_equal(solve_x8dot(x4, spinor), expected)
         assert np.array_equal(solve_x8dot(x4[0], spinor[0]), expected[0])
-
-    def test_constraint_is_lorentz_invariant(self):
-        rng = np.random.default_rng(263)
-        for _ in range(200):
-            x4, spinor = random_timelike(rng)
-            nine = assemble_velocity(x4, spinor)
-            ell = group_action(embed_sl2(random_unimodular(rng, n=2)))
-            moved = ell @ nine
-            scale = max(1.0, minkowski_norm_sq(moved[:4]) ** 1.5)
-            assert abs(constraint_residual(moved)) <= 1e-10 * scale
 
 
 def timelike_curve(rng, n=201):
