@@ -84,12 +84,15 @@ def holds(name, tolerance, residuals):
     return bool(np.all(residuals >= tolerance))
 
 
-def test_every_criterion_names_checks_at_no_looser_tolerance():
+ENTRIES = [(criterion, name) for criterion in CRITERIA for name in criterion.checks]
+
+
+@pytest.mark.parametrize("criterion, name", ENTRIES,
+                         ids=[f"{c.name.split()[0]}-{name}" for c, name in ENTRIES])
+def test_a_criterion_names_a_check_at_no_looser_tolerance(criterion, name):
     # a tolerance is no looser than its check's when it would pass as a residual of the check
-    for criterion in CRITERIA:
-        for name, tolerance in criterion.checks.items():
-            assert name in CHECK_NAMES, (criterion.name, name)
-            assert holds(name, SPECS[name].tolerance, tolerance), (criterion.name, name)
+    assert name in CHECK_NAMES, (criterion.name, name)
+    assert holds(name, SPECS[name].tolerance, criterion.checks[name]), (criterion.name, name)
 
 
 @pytest.mark.parametrize("criterion", CRITERIA, ids=[c.name.split()[0] for c in CRITERIA])
