@@ -22,9 +22,9 @@ import sys
 import numpy as np
 
 from .checks import _check_arguments, all_passed, run_checks
-from .dynamics import Trajectory, _check_kappa, invert_momenta
+from .dynamics import Trajectory, invert_momenta
 from .exceptions import FinslerError, NonRealEntry
-from .geometry import conjugation_action, cubic_form, vec_to_matrix
+from .geometry import _check_kappa, conjugation_action, cubic_form, vec_to_matrix
 from .minkowski import _lagrangians
 
 EXIT_OK = 0

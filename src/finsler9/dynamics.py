@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import (
-    DegeneratePath,
     InconsistentMomenta,
     IsotropicVelocity,
     NonMonotone,
@@ -32,12 +31,17 @@ from .geometry import (
     _basis_matrix,
     _by_blocks,
     _compensated_sums,
+    _check_kappa,
+    _check_kappas,
     _cubic_gradient,
+    _grid,
     _is_count,
+    _is_real,
     _item,
     _monomials,
     _norm,
     _plain_sums,
+    _refuse_above,
     _rejection_sample,
     _stack,
     _terms,
@@ -72,50 +76,6 @@ _GAMMA = 8 * 2.0**-53 / (1 - 8 * 2.0**-53)
 #: The plain ``det N`` stands where ``gamma_8 S`` is at most this times
 #: ``|2 kappa / 3|^3``: 1e5 below ``CONSTRAINT_ADMISSION_TOL``.
 _PLAIN_DET_TOL = 1e-13
-
-
-#: The range of ``|kappa|``: ``2^-300`` to ``2^300``, about 4.9e-91 to 2.0e90.
-_KAPPA_RANGE = (2.0**-300, 2.0**300)
-
-
-def _in_range(kappa):
-    """Whether ``2^-300 <= |kappa| <= 2^300``, for a float or element by element; NaN is not.
-
-    In that range ``|2 kappa / 3|^3`` lies within ``2^-902 .. 2^899``.  On
-    momenta of the order of ``|kappa|``, as unit-speed momenta are, with
-    room for a factor ``2^20`` either way, the monomials of
-    :func:`momentum_constraint_residual` and their exact rounding errors
-    stay normal, products of two stay below ``2^996`` and the 16-term sum
-    stays finite, so its stated accuracy holds.  Far outside it ``c^3``
-    overflows, or underflows and admission accepts anything.  Zero, NaN
-    and the infinities are outside the range.
-    """
-    size = abs(kappa)
-    return (size >= _KAPPA_RANGE[0]) & (size <= _KAPPA_RANGE[1])
-
-
-def _check_kappa(kappa):
-    """One ``kappa`` as a Python float, or ValueError naming it unless it is one number in range.
-
-    A Python float keeps ``c ** 3`` on C ``pow``; numpy's array power may
-    round it apart.
-    """
-    if not isinstance(kappa, float) and (kappa is None or np.ndim(kappa) != 0):
-        what = "None" if kappa is None else f"shape {np.shape(kappa)}"
-        raise ValueError(f"kappa must be one number, got {what}")
-    kappa = float(kappa)
-    if not _in_range(kappa):
-        raise ValueError(f"kappa must be nonzero, with 2^-300 <= |kappa| <= 2^300, got {kappa!r}")
-    return kappa
-
-
-def _check_kappas(kappa):
-    """``kappa`` as a float array, or :func:`_check_kappa`'s ValueError for its first element outside."""
-    kappa = np.asarray(kappa, dtype=float)
-    outside = ~_in_range(kappa)
-    if outside.any():
-        _check_kappa(kappa[outside].flat[0])
-    return kappa
 
 
 def _cubed_norm(x):
@@ -310,15 +270,18 @@ def transform_momenta(transform, p):
 
 
 def _require_unit_speed(v0):
+    """``v0`` as one float 9-vector, or ValueError naming its shape, or NotUnitSpeed for its gap.
+
+    The gap is ``|cubic_form(v0) - 1|``; a NaN gap fails too, and reads
+    ``inf`` unless an entry of ``v0`` is NaN: the terms of large entries
+    overflowed.
+    """
     v0 = np.asarray(v0, dtype=float)
     if v0.shape != (9,):
         raise ValueError(f"expected one 9-vector, got shape {v0.shape}")
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite gap fails below
         gap = abs(cubic_form(v0) - 1.0)
-    if not gap <= UNIT_SPEED_TOL:
-        if np.isnan(gap) and not np.isnan(v0).any():  # the terms of large entries overflowed
-            gap = np.inf
-        raise NotUnitSpeed(f"|det - 1| = {gap:.3e} exceeds {UNIT_SPEED_TOL:.1e}")
+    _refuse_above(NotUnitSpeed, "|det - 1| =", gap, UNIT_SPEED_TOL, v0)
     return v0
 
 
@@ -384,24 +347,6 @@ class Trajectory:
         return s, self.at(s)
 
 
-def _grid(tau, k, curve=None):
-    """``tau`` as a float grid for the samples of ``curve``, an ``(..., samples, m)`` array.
-
-    DegeneratePath unless ``tau`` is 1-d and finite with ``k`` samples or
-    more; ValueError naming both shapes unless ``curve`` has as many
-    samples as ``tau``.
-    """
-    tau = np.asarray(tau, dtype=float)
-    if tau.ndim != 1 or len(tau) < k:
-        raise DegeneratePath(f"need a 1-d grid of at least {k} samples, got shape {tau.shape}")
-    if not np.isfinite(tau).all():
-        raise DegeneratePath(f"need a finite grid, got {float(tau[~np.isfinite(tau)][0])}")
-    if curve is not None and np.shape(curve)[-2:-1] != tau.shape:
-        raise ValueError(f"a grid of shape {tau.shape} does not align with the samples of a "
-                         f"curve of shape {np.shape(curve)}")
-    return tau
-
-
 def arc_length(tau, positions):
     """Cumulative cubic-norm length of a sampled curve.
 
@@ -425,7 +370,8 @@ def reparametrize(traj, s_of_tau, tau):
     """Sample a trajectory in an arbitrary evolution parameter.
 
     ``s_of_tau`` is either a callable or an array of arc-length values
-    aligned with ``tau``; it must start at 0 and be strictly monotone
+    aligned with ``tau``; it must start at 0 and have no NaN sample
+    (otherwise ValueError naming the first), and be strictly monotone
     (otherwise :class:`NonMonotone`).  ``tau`` is a finite 1-d grid of at
     least 2 samples (otherwise :class:`DegeneratePath`).  Returns
     ``(tau, positions)``.
@@ -436,6 +382,9 @@ def reparametrize(traj, s_of_tau, tau):
         raise ValueError("s samples must align with tau samples")
     if not abs(s[0]) <= 1e-12:  # NaN fails too
         raise ValueError(f"reparametrization must start at s = 0, got {s[0]!r}")
+    nan = np.flatnonzero(np.isnan(s))
+    if len(nan):
+        raise ValueError(f"reparametrization is NaN at sample {nan[0]}")
     steps = np.diff(s)
     if np.any(steps == 0.0) or np.any(np.sign(steps) != np.sign(steps[0])):
         raise NonMonotone("ds/dtau vanishes or changes sign on the grid")
@@ -504,11 +453,6 @@ def action_stationarity_check(traj, eta, amplitudes, kappa=DEFAULT_KAPPA, sample
 #: in this basis, and by AM-GM their product is at most ``(|X|_F^2 / 3)^1.5``.
 #: A margin at or above it admits no draw.
 _MARGIN_LIMIT = (2.0 / 3.0) ** 1.5
-
-
-def _is_real(x):
-    """Whether ``x`` is one real number: a Python or numpy int or float, or a 0-d array of one."""
-    return np.ndim(x) == 0 and np.asarray(x).dtype.kind in "biuf"
 
 
 def random_nonisotropic_velocity(rng, margin=1e-3, scale=1.0, size=None):

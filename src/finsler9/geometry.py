@@ -15,7 +15,7 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from .exceptions import NonRealEntry, NotHermitian, NotUnimodular
+from .exceptions import DegeneratePath, NonRealEntry, NotHermitian, NotUnimodular
 
 UNIMODULAR_TOL = 1e-9
 HERMITIAN_TOL = 1e-12
@@ -82,6 +82,103 @@ def _is_index(i):
     return _is_count(i, 0) and i <= 8
 
 
+def _is_real(x):
+    """Whether ``x`` is one real number: a Python or numpy int or float, or a 0-d array of one."""
+    return np.ndim(x) == 0 and np.asarray(x).dtype.kind in "biuf"
+
+
+#: The range of ``|kappa|``: ``2^-300`` to ``2^300``, about 4.9e-91 to 2.0e90.
+_KAPPA_RANGE = (2.0**-300, 2.0**300)
+
+
+def _in_range(kappa):
+    """Whether ``2^-300 <= |kappa| <= 2^300``, for a float or element by element; NaN is not.
+
+    In that range ``|2 kappa / 3|^3`` lies within ``2^-902 .. 2^899``.  On
+    momenta of the order of ``|kappa|``, as unit-speed momenta are, with
+    room for a factor ``2^20`` either way, the monomials of
+    :func:`finsler9.dynamics.momentum_constraint_residual` and their exact
+    rounding errors stay normal, products of two stay below ``2^996`` and
+    the 16-term sum stays finite, so its stated accuracy holds.  Far
+    outside it ``c^3`` overflows, or underflows and admission accepts
+    anything.  Zero, NaN and the infinities are outside the range.
+    """
+    size = abs(kappa)
+    return (size >= _KAPPA_RANGE[0]) & (size <= _KAPPA_RANGE[1])
+
+
+def _check_real(x, what):
+    """ValueError naming the argument ``what`` and the dtype of ``x`` if that is complex or text.
+
+    None and other Python objects pass, to be read by ``float``.
+    """
+    dtype = np.asarray(x).dtype
+    if dtype.kind in "cSU":
+        raise ValueError(f"{what} must be real, got dtype {dtype}")
+
+
+def _check_kappa(kappa):
+    """One ``kappa`` as a Python float, or ValueError naming it unless one real number in range.
+
+    A Python float keeps ``c ** 3`` on C ``pow``; numpy's array power may
+    round it apart.
+    """
+    if not isinstance(kappa, float):
+        if kappa is None or np.ndim(kappa) != 0:
+            what = "None" if kappa is None else f"shape {np.shape(kappa)}"
+            raise ValueError(f"kappa must be one number, got {what}")
+        _check_real(kappa, "kappa")
+    kappa = float(kappa)
+    if not _in_range(kappa):
+        raise ValueError(f"kappa must be nonzero, with 2^-300 <= |kappa| <= 2^300, got {kappa!r}")
+    return kappa
+
+
+def _check_kappas(kappa):
+    """``kappa`` as a float array, or :func:`_check_real`'s ValueError.
+
+    An element outside the range raises :func:`_check_kappa`'s, for the first one.
+    """
+    _check_real(kappa, "kappa")
+    kappa = np.asarray(kappa, dtype=float)
+    outside = ~_in_range(kappa)
+    if outside.any():
+        _check_kappa(kappa[outside].flat[0])
+    return kappa
+
+
+def _grid(tau, k, curve=None):
+    """``tau`` as a float grid for the samples of ``curve``, an ``(..., samples, m)`` array.
+
+    DegeneratePath unless ``tau`` is 1-d and finite with ``k`` samples or
+    more; ValueError naming both shapes unless ``curve`` has as many
+    samples as ``tau``.
+    """
+    tau = np.asarray(tau, dtype=float)
+    if tau.ndim != 1 or len(tau) < k:
+        raise DegeneratePath(f"need a 1-d grid of at least {k} samples, got shape {tau.shape}")
+    if not np.isfinite(tau).all():
+        raise DegeneratePath(f"need a finite grid, got {float(tau[~np.isfinite(tau)][0])}")
+    if curve is not None and np.shape(curve)[-2:-1] != tau.shape:
+        raise ValueError(f"a grid of shape {tau.shape} does not align with the samples of a "
+                         f"curve of shape {np.shape(curve)}")
+    return tau
+
+
+def _refuse_above(token, what, residuals, tol, source=None):
+    """``token("<what> <worst> exceeds <tol>")`` unless every residual is at most ``tol``.
+
+    ``worst`` is the largest residual, 0 for none; a NaN one fails.  With a
+    ``source``, a NaN worst reads ``inf`` unless an entry of ``source`` is
+    NaN: the terms of large or infinite entries overflowed.
+    """
+    worst = np.max(residuals, initial=0.0)
+    if not worst <= tol:
+        if source is not None and np.isnan(worst) and not np.isnan(source).any():
+            worst = np.inf
+        raise token(f"{what} {worst:.3e} exceeds {tol:.1e}")
+
+
 def _item(r):
     """A Python float for a 0-d result, the array itself otherwise."""
     return float(r) if r.ndim == 0 else r
@@ -144,9 +241,7 @@ class CubicMetric:
             if not (isinstance(triple, tuple) and len(triple) == 3
                     and all(map(_is_index, triple)) and triple == tuple(sorted(triple))):
                 raise ValueError(f"triple {triple!r} is not non-decreasing in 0..8")
-            # one real number, as ``dynamics._is_real`` reads it, and finite
-            if not (np.ndim(value) == 0 and np.asarray(value).dtype.kind in "biuf"
-                    and np.isfinite(value)):
+            if not (_is_real(value) and np.isfinite(value)):
                 raise ValueError(f"the coefficient at {triple!r} must be a finite real number, "
                                  f"got {value!r}")
             table[triple] = value
@@ -445,10 +540,8 @@ def matrix_to_vec(m):
     # inf - inf is NaN, which fails the residue test; two entries near the
     # float limit sum to inf
     with np.errstate(over="ignore", invalid="ignore"):
-        residue = _hermitian_residue(entries)
-        if not residue <= HERMITIAN_TOL:
-            raise NotHermitian(
-                f"conjugate-symmetry residue {residue:.3e} exceeds {HERMITIAN_TOL:.1e}")
+        _refuse_above(NotHermitian, "conjugate-symmetry residue", _hermitian_residue(entries),
+                      HERMITIAN_TOL)
         return 0.5 * _rows_times(entries.view(float), _B_DUAL.T)
 
 
@@ -471,11 +564,7 @@ def _require_unimodular(d):
     det = np.empty((len(z), 2))
     _by_blocks(lambda zt, terms: np.add.reduce(_products(zt, terms), axis=0),
                _COMPLEX_DET_TERMS, z, det.T)
-    gap = np.max(np.abs(det.view(complex) - 1.0), initial=0.0)
-    if not gap <= UNIMODULAR_TOL:
-        if np.isnan(gap) and not np.isnan(d).any():
-            gap = np.inf
-        raise NotUnimodular(f"|det - 1| = {gap:.3e} exceeds {UNIMODULAR_TOL:.1e}")
+    _refuse_above(NotUnimodular, "|det - 1| =", np.abs(det.view(complex) - 1.0), UNIMODULAR_TOL, d)
     return d
 
 

@@ -11,9 +11,19 @@ minus mass times speed of light.
 
 import numpy as np
 
-from .dynamics import _check_kappas, _grid, lagrangian
+from .dynamics import lagrangian
 from .exceptions import BlockLeakage, NonRealEntry, NonTimelike
-from .geometry import _item, _require_unimodular, _stack, cubic_form, group_action
+from .geometry import (
+    _check_kappas,
+    _check_real,
+    _grid,
+    _item,
+    _refuse_above,
+    _require_unimodular,
+    _stack,
+    cubic_form,
+    group_action,
+)
 
 #: Minkowski metric with signature (+, -, -, -).
 MINKOWSKI_METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
@@ -53,9 +63,8 @@ def embed_sl2(d2):
 
 def _split_blocks(ell):
     """Separate 9x9 matrices into the 4+4+1 diagonal blocks, or fail loudly."""
-    leak = np.max(np.abs(np.where(_BLOCK_MASK, 0.0, ell)), initial=0.0)
-    if not leak <= BLOCK_TOL:
-        raise BlockLeakage(f"cross-block entry {leak:.3e} exceeds {BLOCK_TOL:.1e}")
+    _refuse_above(BlockLeakage, "cross-block entry", np.abs(np.where(_BLOCK_MASK, 0.0, ell)),
+                  BLOCK_TOL)
     return (ell[..., _VEC, _VEC].copy(), ell[..., _SPIN, _SPIN].copy(),
             _item(ell[..., 8, 8].copy()))
 
@@ -136,11 +145,14 @@ def _lagrangians(xdot03, xdot47, mass, light_speed, kappa=None):
     ``-mass * light_speed``) and ``relativistic`` is ``-mass * light_speed
     * sqrt(g(v, v))``; ``mass``, ``light_speed`` and ``kappa`` broadcast
     against the velocities' leading axes.  Refuses, in this order: a mass
-    or speed that is not positive, or a ``kappa`` outside its range
-    (ValueError); what :func:`assemble_velocity` refuses; a velocity or
-    relativistic Lagrangian that is not finite (:class:`NonRealEntry`);
-    what ``lagrangian`` refuses (:class:`IsotropicVelocity`).
+    or speed that is complex or text, or not positive, or a ``kappa``
+    outside its range (ValueError); what :func:`assemble_velocity`
+    refuses; a velocity or relativistic Lagrangian that is not finite
+    (:class:`NonRealEntry`); what ``lagrangian`` refuses
+    (:class:`IsotropicVelocity`).
     """
+    _check_real(mass, "mass")
+    _check_real(light_speed, "light speed")
     mass = np.asarray(mass, dtype=float)
     light_speed = np.asarray(light_speed, dtype=float)
     if not (np.all(mass > 0) and np.all(light_speed > 0)):
@@ -180,7 +192,7 @@ def reduced_action_check(tau, xdot4, spinor, mass, light_speed, kappa=None):
     2 samples (otherwise :class:`DegeneratePath`) with one point a sample
     of the curve (otherwise ValueError naming both shapes).
     """
-    per_sample = [None if a is None else np.asarray(a, dtype=float)[..., None]
+    per_sample = [None if a is None else np.asarray(a)[..., None]
                   for a in (mass, light_speed, kappa)]
     nine, cubic, relativistic = _lagrangians(xdot4, spinor, *per_sample)
     tau = _grid(tau, 2, nine[..., _VEC])

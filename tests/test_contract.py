@@ -15,7 +15,8 @@ shape and kappa rules cover the export).  Four properties walk it:
   short, or reduced to a lone scalar, raises ValueError ``expected shape
   (..., <item>), got shape <shape>``, for one item and for a stack;
 - the kappa rule: every export that takes ``kappa`` refuses one outside
-  ``2^-300 <= |kappa| <= 2^300`` with ValueError;
+  ``2^-300 <= |kappa| <= 2^300`` with ValueError, and one that is complex
+  or text with ValueError naming its dtype;
 - a refusal raises its token and exact message: exactly the entry's error
   class, its whole message, no warning first (``filterwarnings = error``)
   and no draw from a generator among the inputs.  A stack with one bad row
@@ -85,13 +86,14 @@ from finsler9 import (
     unit_speed_velocity,
     vec_to_matrix,
 )
-from finsler9.dynamics import _DET_TERMS, _KAPPA_RANGE
+from finsler9.dynamics import _DET_TERMS
 from finsler9.geometry import (
     _ACTION_TERMS,
     _BLOCK_ROWS,
     _CACHE_TERMS,
     _COMPLEX_DET_TERMS,
     _GRADIENT_TERMS,
+    _KAPPA_RANGE,
     _require_unimodular,
 )
 
@@ -576,6 +578,8 @@ EXPORTS = {
         Case(functools.partial(reduced_action_check, TAU), four_d_curves_and_kappas, (CURVES,),
              "per_curve_kappa")], [
         *refuse(ValueError, "mass and light speed must be positive", (*rest(201), -1.0, 1.0)),
+        *refuse(ValueError, "mass must be real, got dtype complex128", (*rest(3), 1 + 0j, 1.0)),
+        *refuse(ValueError, "light speed must be real, got dtype <U3", (*rest(3), 1.0, "1.0")),
         *refuse(ValueError, kappa_outside(-(2.0**-301)), (*rest(5), 2.0**-301, 1.0)),
         *refuse(ValueError, kappa_outside(-np.inf), (*rest(3), 1e308, 1e308)),  # -m c overflows
         *refuse(NonRealEntry, "the 4D-limit record is beyond the float range",
@@ -603,6 +607,9 @@ EXPORTS = {
                 (TRAJECTORY, lambda t: t + 1.0, np.linspace(0.0, 1.0, 11))),
         *refuse(ValueError, "reparametrization must start at s = 0, got np.float64(nan)",
                 (TRAJECTORY, [np.nan, 1.0, 2.0, 3.0, 4.0], np.linspace(0.0, 1.0, 5))),
+        *refuse(ValueError, "reparametrization is NaN at sample 1",
+                (TRAJECTORY, [0.0, np.nan], np.linspace(0.0, 1.0, 2)),
+                (TRAJECTORY, [0.0, np.nan, 2.0], np.linspace(0.0, 1.0, 3))),
         *refuse(ValueError, "s samples must align with tau samples",
                 (TRAJECTORY, np.linspace(0.0, 1.0, 10), np.linspace(0.0, 1.0, 11))),
         *grid("reparametrize")]),
@@ -651,6 +658,16 @@ REFUSALS = {f"{name}/{i}": (name, refusal)
 #: Couplings outside ``2^-300 <= |kappa| <= 2^300``, each refused at both signs.
 KAPPA_OUTSIDE = [np.nextafter(_KAPPA_RANGE[0], 0.0), np.nextafter(_KAPPA_RANGE[1], np.inf),
                  1e-120, 1e300, 0.0, np.inf, np.nan]
+
+#: Couplings that are not real, each refused at both signs: complex, one as a 0-d array, and text.
+KAPPA_NOT_REAL = [1 + 0j, np.complex64(1), np.array(1 + 0j), "1"]
+
+
+def signed(kappa, sign):
+    """``sign * kappa`` of the same kind: text stays text, and a 0-d array stays one."""
+    if isinstance(kappa, str):
+        return "-" + kappa if sign < 0 else kappa
+    return np.asarray(sign * kappa) if isinstance(kappa, np.ndarray) else sign * kappa
 
 
 def parts(result):
@@ -759,16 +776,19 @@ def test_a_misshapen_item_is_refused_by_the_shape_rule(name):
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
-@pytest.mark.parametrize("kappa", KAPPA_OUTSIDE)
+@pytest.mark.parametrize("kappa", KAPPA_OUTSIDE + KAPPA_NOT_REAL)
 @pytest.mark.parametrize("name", sorted(
     name for name, (params, _, _) in EXPORTS.items() if "kappa" in params))
 def test_a_kappa_outside_the_range_is_refused(name, kappa, sign):
     """On one item, through the export's first case, which passes ``kappa`` on."""
     case = CASES[name]
     one = [a[0] for a in case.inputs(np.random.default_rng(0), 3)]
-    with pytest.raises(ValueError, match="^" + re.escape(
-            "kappa must be nonzero, with 2^-300 <= |kappa| <= 2^300, got ")):
-        case.function(*one, kappa=sign * kappa)
+    kappa = signed(kappa, sign)
+    message = ("kappa must be nonzero, with 2^-300 <= |kappa| <= 2^300, got "
+               if isinstance(kappa, float)
+               else f"kappa must be real, got dtype {np.asarray(kappa).dtype}")
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        case.function(*one, kappa=kappa)
 
 
 def verdict(d):
@@ -780,7 +800,7 @@ def verdict(d):
     return None
 
 
-def gap(message):
+def gap_read(message):
     """The gap a message reads, ``-inf`` for a pass."""
     return -np.inf if message is None else float(message.split("= ")[1].split()[0])
 
@@ -799,7 +819,7 @@ def test_a_stacks_unimodularity_verdict_is_its_worst_rows(n, entry, seed, bad):
     if entry is not None:
         d[rng.integers(n), rng.integers(3), rng.integers(3)] = entry
     per_row = [verdict(m) for m in d]
-    assert verdict(d) == per_row[int(np.argmax([gap(m) for m in per_row]))]
+    assert verdict(d) == per_row[int(np.argmax([gap_read(m) for m in per_row]))]
 
 
 # A failing property next to a passing test, run under this project's pytest settings.

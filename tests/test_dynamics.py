@@ -37,8 +37,8 @@ from finsler9 import (
     unit_speed_velocity,
     vec_to_matrix,
 )
-from finsler9.dynamics import _DET_TERMS, _GAMMA, _KAPPA_RANGE, _PLAIN_DET_TOL, _cubed_norm
-from finsler9.geometry import G, _cubic_gradient, matrix_to_vec, metric_coefficients
+from finsler9.dynamics import _DET_TERMS, _GAMMA, _PLAIN_DET_TOL, _cubed_norm
+from finsler9.geometry import G, _KAPPA_RANGE, _cubic_gradient, matrix_to_vec, metric_coefficients
 
 from contract import same_bits
 

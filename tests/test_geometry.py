@@ -1,6 +1,8 @@
 """Tests for the cubic norm, the matrix basis, and the symmetry action."""
 
+import ast
 import itertools
+import pathlib
 import re
 import warnings
 from fractions import Fraction
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import finsler9
 from finsler9 import (
     LAMBDA_DUAL,
     LAMBDA_MATRICES,
@@ -816,3 +819,44 @@ class TestClosedFormDeterminant:
             with pytest.raises(NotUnimodular, match=r"\|det - 1\| = inf exceeds"):
                 embed_sl2(d[:2, :2])
 
+
+
+#: The argument rules, and the gate of every "<what> <worst> exceeds <tol>" refusal.
+RULES = {"_stack", "_is_count", "_is_index", "_is_real", "_check_real", "_in_range",
+         "_check_kappa", "_check_kappas", "_grid", "_refuse_above"}
+
+
+def test_every_argument_rule_and_the_exceeds_gate_live_in_geometry():
+    """The argument rules and the "exceeds" gate have one home, ``geometry``.
+
+    Each rule is defined there once, and another module imports the rules it
+    names from there.  Only the gate, and the momentum admission with its own
+    format, word a refusal "... exceeds ...".
+    """
+    modules = [(path.stem, ast.parse(path.read_text()))
+               for path in sorted(pathlib.Path(finsler9.__file__).parent.glob("*.py"))]
+    defined, elsewhere = [], []
+    for module, tree in modules:
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name in RULES:
+                defined.append((node.name, module))
+            elif isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    if alias.name in RULES and node.module == "geometry":
+                        imported.add(alias.name)
+                    elif alias.name in RULES:
+                        elsewhere.append((module, alias.name, f"from {node.module}"))
+            elif isinstance(node, ast.Attribute) and node.attr in RULES:
+                elsewhere.append((module, node.attr, "as an attribute"))
+        if module != "geometry":
+            elsewhere += [(module, node.id, "not imported") for node in ast.walk(tree)
+                          if isinstance(node, ast.Name) and node.id in RULES - imported]
+    assert sorted(defined) == sorted((rule, "geometry") for rule in RULES)
+    assert elsewhere == []
+    wording = {(module, function.name) for module, tree in modules
+               for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
+               for node in ast.walk(function) if isinstance(node, ast.JoinedStr)
+               for part in node.values
+               if isinstance(part, ast.Constant) and " exceeds " in part.value}
+    assert wording == {("geometry", "_refuse_above"), ("dynamics", "invert_momenta")}
